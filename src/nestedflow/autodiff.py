@@ -1,20 +1,26 @@
 """Reverse-mode automatic differentiation over batched numpy arrays.
 
 A small tape machine: model code builds scalar losses out of the primitive
-functions in this module (arithmetic, ``exp``/``log``/``tanh``, matrix
-products, column gathers, triangular solves, Householder reflections), and
+functions in this module (``add``/``sub``/``mul``/``square``, ``exp``/``log``,
+``vsum``/``dot``/``matmul``/``transpose``, the structural ``slice_1d``,
+``concat_1d``, ``gather_cols`` and ``matrix_from_entries``, and the flow
+primitives ``householder_rows`` and ``solve_triangular_rows``), and
 :func:`evaluate_with_gradient` replays the tape backwards to accumulate exact
-parameter gradients.
+parameter gradients.  A layer may instead compute its whole map in numpy and
+register it as one fused node with a hand-written VJP through :func:`record`,
+as the affine coupling does.
 
 Every primitive accepts either plain numpy arrays or :class:`Var` nodes and
 dispatches accordingly, so the same model code serves both fast untracked
 evaluation and gradient evaluation.  One gradient evaluation is
-single-threaded; independent evaluations on separate parameter copies may run
-concurrently.
+single-threaded.  The recording tape is per thread, so independent
+evaluations may run concurrently in separate threads; they must not share a
+model whose parameters another thread changes meanwhile.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +28,7 @@ import numpy as np
 __all__ = [
     "Var",
     "NonFiniteLossError",
+    "record",
     "ParameterVector",
     "GradientRecord",
     "evaluate_with_gradient",
@@ -82,22 +89,20 @@ class Var:
         return matmul(self, other)
 
 
-_TAPE: list | None = None
+_LOCAL = threading.local()  # ``tape``: the active recording of this thread
 
 
 class _Recording:
-    """Context manager activating a fresh tape."""
+    """Context manager activating a fresh tape for the calling thread."""
 
     def __enter__(self):
-        global _TAPE
-        if _TAPE is not None:
+        if getattr(_LOCAL, "tape", None) is not None:
             raise RuntimeError("gradient evaluations cannot be nested")
-        _TAPE = []
-        return _TAPE
+        _LOCAL.tape = []
+        return _LOCAL.tape
 
     def __exit__(self, *exc):
-        global _TAPE
-        _TAPE = None
+        _LOCAL.tape = None
         return False
 
 
@@ -108,12 +113,19 @@ def _val(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _make(value, parents, op):
-    """Create an output node, recording it when a tape is active."""
-    if _TAPE is None:
+def record(value, parents, op):
+    """Create an output node, recording it when this thread has an active tape.
+
+    ``parents`` holds ``(input, vjp)`` pairs; pairs whose input is None (a
+    constant) are dropped.  ``vjp`` maps the gradient of the output to the
+    gradient of that input, with the input's shape.  Every primitive of this
+    module ends here; a fused layer calls it directly with its own VJPs.
+    """
+    tape = getattr(_LOCAL, "tape", None)
+    if tape is None:
         return Var(value, (), op)
     node = Var(value, tuple(p for p in parents if p[0] is not None), op)
-    _TAPE.append(node)
+    tape.append(node)
     return node
 
 
@@ -137,7 +149,7 @@ def add(a, b):
     out = np.add(av, bv)
     pa = (a, lambda g, s=np.shape(av): _unbroadcast(g, s)) if _is_var(a) else (None, None)
     pb = (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)) if _is_var(b) else (None, None)
-    return _make(out, (pa, pb), "add")
+    return record(out, (pa, pb), "add")
 
 
 def sub(a, b):
@@ -147,7 +159,7 @@ def sub(a, b):
     out = np.subtract(av, bv)
     pa = (a, lambda g, s=np.shape(av): _unbroadcast(g, s)) if _is_var(a) else (None, None)
     pb = (b, lambda g, s=np.shape(bv): _unbroadcast(-g, s)) if _is_var(b) else (None, None)
-    return _make(out, (pa, pb), "sub")
+    return record(out, (pa, pb), "sub")
 
 
 def mul(a, b):
@@ -157,35 +169,28 @@ def mul(a, b):
     out = np.multiply(av, bv)
     pa = (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g * o, s)) if _is_var(a) else (None, None)
     pb = (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(g * o, s)) if _is_var(b) else (None, None)
-    return _make(out, (pa, pb), "mul")
+    return record(out, (pa, pb), "mul")
 
 
 def square(a):
     if not _is_var(a):
         return np.square(a)
     av = a.value
-    return _make(np.square(av), ((a, lambda g: g * (2.0 * av)),), "square")
+    return record(np.square(av), ((a, lambda g: g * (2.0 * av)),), "square")
 
 
 def exp(a):
     if not _is_var(a):
         return np.exp(a)
     out = np.exp(a.value)
-    return _make(out, ((a, lambda g: g * out),), "exp")
+    return record(out, ((a, lambda g: g * out),), "exp")
 
 
 def log(a):
     if not _is_var(a):
         return np.log(a)
     av = a.value
-    return _make(np.log(av), ((a, lambda g: g / av),), "log")
-
-
-def tanh(a):
-    if not _is_var(a):
-        return np.tanh(a)
-    out = np.tanh(a.value)
-    return _make(out, ((a, lambda g: g * (1.0 - out * out)),), "tanh")
+    return record(np.log(av), ((a, lambda g: g / av),), "log")
 
 
 def vsum(a, axis=None):
@@ -200,7 +205,7 @@ def vsum(a, axis=None):
             return np.broadcast_to(g, shape).copy()
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-    return _make(out, ((a, vjp),), "sum")
+    return record(out, ((a, vjp),), "sum")
 
 
 def dot(a, b):
@@ -211,7 +216,7 @@ def dot(a, b):
     out = np.dot(av, bv)
     pa = (a, lambda g, o=bv: g * o) if _is_var(a) else (None, None)
     pb = (b, lambda g, o=av: g * o) if _is_var(b) else (None, None)
-    return _make(out, (pa, pb), "dot")
+    return record(out, (pa, pb), "dot")
 
 
 def matmul(a, b):
@@ -221,20 +226,13 @@ def matmul(a, b):
     out = np.matmul(av, bv)
     pa = (a, lambda g, o=bv: np.matmul(g, o.T)) if _is_var(a) else (None, None)
     pb = (b, lambda g, o=av: np.matmul(o.T, g)) if _is_var(b) else (None, None)
-    return _make(out, (pa, pb), "matmul")
+    return record(out, (pa, pb), "matmul")
 
 
 def transpose(a):
     if not _is_var(a):
         return np.transpose(a)
-    return _make(a.value.T, ((a, lambda g: np.transpose(g)),), "transpose")
-
-
-def reshape(a, shape):
-    if not _is_var(a):
-        return np.reshape(a, shape)
-    old = np.shape(a.value)
-    return _make(np.reshape(a.value, shape), ((a, lambda g: np.reshape(g, old)),), "reshape")
+    return record(a.value.T, ((a, lambda g: np.transpose(g)),), "transpose")
 
 
 # -- structural ops ---------------------------------------------------------
@@ -250,7 +248,7 @@ def slice_1d(a, start, stop):
         out[start:stop] = g
         return out
 
-    return _make(av[start:stop], ((a, vjp),), "slice_1d")
+    return record(av[start:stop], ((a, vjp),), "slice_1d")
 
 
 def concat_1d(parts):
@@ -266,47 +264,28 @@ def concat_1d(parts):
             parents.append((p, lambda g, a=offsets[i], b=offsets[i + 1]: g[a:b]))
         else:
             parents.append((None, None))
-    return _make(out, tuple(parents), "concat_1d")
+    return record(out, tuple(parents), "concat_1d")
 
 
 def gather_cols(x, idx):
-    """Select columns ``idx`` of a 2-D array (also permutes, when idx is a
-    permutation)."""
-    idx = np.asarray(idx)
+    """Select columns ``idx`` of a 2-D array: an index array (also permutes,
+    when idx is a permutation), a slice, or one index (a 1-D column).
+
+    The indices must be distinct: the VJP writes each column's gradient
+    by plain assignment instead of accumulating repeats.
+    """
+    if not isinstance(idx, slice):
+        idx = np.asarray(idx)
     if not _is_var(x):
         return x[:, idx]
     xv = x.value
 
     def vjp(g, shape=xv.shape, idx=idx):
         out = np.zeros(shape)
-        np.add.at(out, (slice(None), idx), g)
+        out[:, idx] = g
         return out
 
-    return _make(xv[:, idx], ((x, vjp),), "gather_cols")
-
-
-def scatter_cols(width, pieces):
-    """Assemble a 2-D array of ``width`` columns from ``(idx, block)`` pieces.
-
-    The index lists must partition ``range(width)``.
-    """
-    if not any(_is_var(b) for _, b in pieces):
-        rows = np.shape(_val(pieces[0][1]))[0]
-        out = np.empty((rows, width))
-        for idx, block in pieces:
-            out[:, np.asarray(idx)] = _val(block)
-        return out
-    rows = np.shape(_val(pieces[0][1]))[0]
-    out = np.empty((rows, width))
-    parents = []
-    for idx, block in pieces:
-        idx = np.asarray(idx)
-        out[:, idx] = _val(block)
-        if _is_var(block):
-            parents.append((block, lambda g, idx=idx: g[:, idx]))
-        else:
-            parents.append((None, None))
-    return _make(out, tuple(parents), "scatter_cols")
+    return record(xv[:, idx], ((x, vjp),), "gather_cols")
 
 
 def matrix_from_entries(base, rows, cols, values):
@@ -323,7 +302,7 @@ def matrix_from_entries(base, rows, cols, values):
         return out
     out = np.array(base)
     out[rows, cols] = values.value
-    return _make(out, ((values, lambda g: g[rows, cols]),), "matrix_from_entries")
+    return record(out, ((values, lambda g: g[rows, cols]),), "matrix_from_entries")
 
 
 # -- flow primitives --------------------------------------------------------
@@ -354,7 +333,7 @@ def householder_rows(v, x):
         pv = (v, vjp_v)
     else:
         pv = (None, None)
-    return _make(out, (pv, px), "householder_rows")
+    return record(out, (pv, px), "householder_rows")
 
 
 def solve_triangular_rows(b, t, lower):
@@ -396,7 +375,7 @@ def solve_triangular_rows(b, t, lower):
         parents = ((b, solve_back), (None, None))
     else:
         parents = ((None, None), (t, lambda g: -(y.T @ solve_back(g))))
-    return _make(y, parents, "solve_triangular_rows")
+    return record(y, parents, "solve_triangular_rows")
 
 
 # -- parameters and gradient evaluation -------------------------------------

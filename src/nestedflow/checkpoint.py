@@ -83,6 +83,11 @@ def model_from_dict(doc: dict) -> FlowModel:
                 raise CheckpointError(
                     f"transform {pos} ({kind}) block {name!r} has size "
                     f"{block.size}, expected {size}")
+            if kind == QRLinearTransform.kind and name[0] == "v" \
+                    and float(block @ block) == 0.0:
+                raise CheckpointError(
+                    f"transform {pos} ({kind}) Householder vector {name!r} "
+                    f"is zero")
             params.append(block)
         transforms.append(t)
     flat = np.concatenate(params) if params else np.zeros(0)

@@ -27,6 +27,11 @@ class AffineCouplingTransform:
     The conditioner is a two-hidden-layer tanh network (width
     ``hidden_width``) from the A coordinates to ``(s_raw, t)``; the applied
     log-scale is ``bound * tanh(s_raw)``.
+
+    Both directions compute in numpy.  Under gradient recording each
+    application becomes one tape node whose hand-written VJP
+    back-propagates the conditioner once, so training and evaluation run
+    the same arithmetic.
     """
 
     kind = "affine_coupling"
@@ -44,6 +49,7 @@ class AffineCouplingTransform:
         self.transformed_idx = b
         self.hidden_width = hidden_width
         self.log_scale_bound = float(log_scale_bound)
+        self._s_cols = np.arange(b.size)
         na, nb, h = a.size, b.size, hidden_width
         self.param_blocks = [
             ("w1", na * h), ("b1", h),
@@ -62,29 +68,123 @@ class AffineCouplingTransform:
             np.zeros(2 * nb),
         ])
 
-    def _conditioner(self, p, xa):
+    def _weights(self, p):
+        """The coupling's half-open range in the flat parameter vector and
+        numpy views of its six blocks in the conditioner's shapes."""
         na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
-        h1 = ad.tanh(ad.add(ad.matmul(xa, ad.reshape(p["w1"], (na, h))), p["b1"]))
-        h2 = ad.tanh(ad.add(ad.matmul(h1, ad.reshape(p["w2"], (h, h))), p["b2"]))
-        out = ad.add(ad.matmul(h2, ad.reshape(p["w3"], (h, 2 * nb))), p["b3"])
-        s = ad.mul(ad.tanh(ad.gather_cols(out, np.arange(nb))), self.log_scale_bound)
-        t = ad.gather_cols(out, np.arange(nb, 2 * nb))
-        return s, t
+        shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
+        flat = ad._val(p.theta)
+        blocks = [flat[slice(*p.ranges[name])].reshape(shape)
+                  for (name, _), shape in zip(self.param_blocks, shapes)]
+        return (p.ranges["w1"][0], p.ranges["b3"][1]), blocks
+
+    def _conditioner(self, w, xa):
+        """Hidden activations, tanh(s_raw), log-scale s and shift t."""
+        w1, b1, w2, b2, w3, b3 = w
+        h1 = np.tanh(np.add(np.matmul(xa, w1), b1))
+        h2 = np.tanh(np.add(np.matmul(h1, w2), b2))
+        out = np.add(np.matmul(h2, w3), b3)
+        # Gather (not slice) the s columns: that makes s column-major, and
+        # row sums over that layout reproduce recorded log-determinants
+        # bit for bit.
+        ts = np.tanh(out[:, self._s_cols])
+        return h1, h2, ts, np.multiply(ts, self.log_scale_bound), out[:, ts.shape[1]:]
+
+    def _conditioner_vjp(self, w, xa, h1, h2, ts, g_s, g_t, want_xa):
+        """Back-propagate gradients of (s, t) through the conditioner: the
+        gradient of the coupling's parameter span, and of xa when wanted."""
+        w1, b1, w2, b2, w3, b3 = w
+        nb = ts.shape[1]
+        g_out = np.empty((ts.shape[0], 2 * nb))  # row-major, unlike its parts
+        g_out[:, :nb] = np.multiply(np.multiply(g_s, self.log_scale_bound), 1.0 - ts * ts)
+        g_out[:, nb:] = g_t
+        g_pre2 = np.matmul(g_out, w3.T) * (1.0 - h2 * h2)
+        g_pre1 = np.matmul(g_pre2, w2.T) * (1.0 - h1 * h1)
+        g_local = np.concatenate([
+            np.matmul(xa.T, g_pre1).ravel(), g_pre1.sum(axis=0),
+            np.matmul(h1.T, g_pre2).ravel(), g_pre2.sum(axis=0),
+            np.matmul(h2.T, g_out).ravel(), g_out.sum(axis=0),
+        ])
+        return g_local, (np.matmul(g_pre1, w1.T) if want_xa else None)
+
+    def _fuse(self, p, span, x, out, op, backward):
+        """Record ``out`` as one tape node over the parameter vector and the
+        input.  ``backward(g, want_x)`` returns the gradients of the
+        coupling's parameter span and of the input; it runs once per
+        backward pass and serves both parents."""
+        theta_var, x_var = isinstance(p.theta, ad.Var), isinstance(x, ad.Var)
+        start, stop = span
+        n_theta = np.shape(ad._val(p.theta))[0]
+        cache = []
+
+        def both(g):
+            if not cache:
+                cache.append(backward(g, x_var))
+            return cache[0]
+
+        def vjp_theta(g):
+            full = np.zeros(n_theta)
+            full[start:stop] = both(g)[0]
+            return full
+
+        return ad.record(out, ((p.theta if theta_var else None, vjp_theta),
+                               (x if x_var else None, lambda g: both(g)[1])), op)
+
+    def _assemble(self, keep, changed, extra=0):
+        out = np.empty((keep.shape[0], self.dim + extra))
+        out[:, self.identity_idx] = keep
+        out[:, self.transformed_idx] = changed
+        return out
 
     def forward(self, p, x):
-        xa = ad.gather_cols(x, self.identity_idx)
-        xb = ad.gather_cols(x, self.transformed_idx)
-        s, t = self._conditioner(p, xa)
-        zb = ad.add(ad.mul(xb, ad.exp(s)), t)
-        z = ad.scatter_cols(self.dim, [(self.identity_idx, xa), (self.transformed_idx, zb)])
-        return z, ad.vsum(s, axis=1)
+        span, w = self._weights(p)
+        xv = ad._val(x)
+        xa, xb = xv[:, self.identity_idx], xv[:, self.transformed_idx]
+        h1, h2, ts, s, t = self._conditioner(w, xa)
+        es = np.exp(s)
+        zb = np.add(np.multiply(xb, es), t)
+        logdet = np.sum(s, axis=1)
+        if not (isinstance(p.theta, ad.Var) or isinstance(x, ad.Var)):
+            return self._assemble(xa, zb), logdet
+        # One node carries [z | log-det]; two column views split it (views
+        # keep z row-major, as the untracked path returns it).
+        joint = self._assemble(xa, zb, extra=1)
+        joint[:, self.dim] = logdet
+
+        def backward(g, want_x):
+            gz = g[:, : self.dim]
+            gzb = gz[:, self.transformed_idx]
+            g_s = g[:, self.dim][:, None] + np.multiply(np.multiply(gzb, xb), es)
+            g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb, want_x)
+            if not want_x:
+                return g_local, None
+            return g_local, self._assemble(gz[:, self.identity_idx] + g_xa,
+                                           np.multiply(gzb, es))
+
+        node = self._fuse(p, span, x, joint, "coupling_forward", backward)
+        return ad.gather_cols(node, slice(0, self.dim)), ad.gather_cols(node, self.dim)
 
     def inverse(self, p, z):
-        za = ad.gather_cols(z, self.identity_idx)
-        zb = ad.gather_cols(z, self.transformed_idx)
-        s, t = self._conditioner(p, za)
-        xb = ad.mul(ad.sub(zb, t), ad.exp(ad.mul(s, -1.0)))
-        return ad.scatter_cols(self.dim, [(self.identity_idx, za), (self.transformed_idx, xb)])
+        span, w = self._weights(p)
+        zv = ad._val(z)
+        za, zb = zv[:, self.identity_idx], zv[:, self.transformed_idx]
+        h1, h2, ts, s, t = self._conditioner(w, za)
+        d = np.subtract(zb, t)
+        e = np.exp(np.multiply(s, -1.0))
+        x = self._assemble(za, np.multiply(d, e))
+        if not (isinstance(p.theta, ad.Var) or isinstance(z, ad.Var)):
+            return x
+
+        def backward(g, want_z):
+            gxb = g[:, self.transformed_idx]
+            g_d = np.multiply(gxb, e)
+            g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
+            g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d, want_z)
+            if not want_z:
+                return g_local, None
+            return g_local, self._assemble(g[:, self.identity_idx] + g_za, g_d)
+
+        return self._fuse(p, span, z, x, "coupling_inverse", backward)
 
     def config(self):
         return {

@@ -2,9 +2,10 @@
 
 Transforms are pure structure: they describe parameter block layouts and how
 to apply/invert themselves given a view of the flat parameter vector.  The
-:class:`FlowModel` owns the actual parameter values.  All transform math is
+:class:`FlowModel` owns the actual parameter values.  The transforms here are
 written against the :mod:`nestedflow.autodiff` primitives, so the same code
-runs both untracked (plain numpy) and under gradient recording.
+runs both untracked (plain numpy) and under gradient recording; the affine
+coupling instead records one fused node per application.
 
 Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 ``z = W x`` become ``Z = X W^T`` on batches.
@@ -36,15 +37,19 @@ class TransformResult:
 
 
 class BlockView:
-    """Named access to a transform's parameter blocks within a flat vector."""
+    """Named access to a transform's parameter blocks within a flat vector.
+
+    ``theta`` is the flat vector (array or tape node) and ``ranges`` maps
+    block names to half-open index ranges in it.
+    """
 
     def __init__(self, theta, ranges):
-        self._theta = theta
-        self._ranges = ranges
+        self.theta = theta
+        self.ranges = ranges
 
     def __getitem__(self, name):
-        start, stop = self._ranges[name]
-        return ad.slice_1d(self._theta, start, stop)
+        start, stop = self.ranges[name]
+        return ad.slice_1d(self.theta, start, stop)
 
 
 def local_registry(blocks):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -62,7 +65,11 @@ def scalar_losses():
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 3))
     w = rng.standard_normal(4)
-    idx = np.array([2, 0, 3])
+
+    def rows_of(v):
+        """A 12-vector laid out as a 3x4 matrix, row by row."""
+        rows, cols = np.divmod(np.arange(12), 4)
+        return ad.matrix_from_entries(np.zeros((3, 4)), rows, cols, v)
 
     def arithmetic(t):
         x = ad.add(ad.mul(t, 2.0), ad.sub(t, ad.square(t)))
@@ -70,19 +77,21 @@ def scalar_losses():
 
     def transcendental(t):
         return ad.vsum(ad.add(ad.exp(ad.mul(t, 0.3)),
-                              ad.tanh(ad.add(t, ad.log(ad.square(t))))))
+                              ad.exp(ad.add(t, ad.log(ad.square(t))))))
 
     def matrix(t):
-        m = ad.reshape(ad.concat_1d([t, t, t]), (3, 4))
+        m = rows_of(ad.concat_1d([t, t, t]))
         y = ad.matmul(ad.matmul(m, b), ad.transpose(ad.matmul(m, b)))
         return ad.vsum(ad.square(y))
 
-    def gather_scatter(t):
-        m = ad.reshape(ad.concat_1d([t, ad.mul(t, -1.0), t]), (3, 4))
-        g = ad.gather_cols(m, idx)
-        s = ad.scatter_cols(4, [(idx, g), (np.array([1]),
-                                           ad.gather_cols(m, np.array([1])))])
-        return ad.vsum(ad.square(ad.sub(s, a)))
+    def gather(t):
+        m = rows_of(ad.concat_1d([t, ad.mul(t, -1.0), t]))
+        cols = ad.gather_cols(m, np.array([2, 0, 3, 1]))
+        one = ad.gather_cols(m, 1)  # a scalar index selects a 1-D column
+        part = ad.gather_cols(m, slice(1, 3))
+        return ad.add(ad.add(ad.vsum(ad.square(ad.sub(cols, a))),
+                             ad.vsum(ad.mul(one, w[:3]))),
+                      ad.vsum(ad.square(part)))
 
     def inner(t):
         return ad.square(ad.dot(t, w))
@@ -96,10 +105,10 @@ def scalar_losses():
         return ad.vsum(ad.square(ad.matmul(a, m)))
 
     def axis_sum(t):
-        m = ad.reshape(ad.concat_1d([t, t, t]), (3, 4))
+        m = rows_of(ad.concat_1d([t, t, t]))
         return ad.vsum(ad.square(ad.vsum(m, axis=0)))
 
-    return [arithmetic, transcendental, matrix, gather_scatter, inner,
+    return [arithmetic, transcendental, matrix, gather, inner,
             sliced, entries, axis_sum]
 
 
@@ -201,3 +210,46 @@ def test_parameter_vector_blocks():
 def test_nonfinite_parameters_rejected():
     with pytest.raises(ValueError):
         ParameterVector(np.array([1.0, np.nan]), {"a": (0, 2)})
+
+
+def test_concurrent_evaluations_record_separate_tapes():
+    """Threads evaluating gradients at once each get the serial result."""
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 4))
+
+    def loss(theta):
+        y = ad.matmul(a, ad.mul(theta, 0.5))
+        for _ in range(40):  # long enough to span many thread switches
+            y = ad.add(ad.mul(ad.exp(ad.mul(y, -0.1)), 0.5), y)
+        return ad.vsum(ad.square(y))
+
+    theta = params(rng.standard_normal(4))
+    serial = evaluate_with_gradient(loss, theta)
+    n_threads, n_evals = 4, 10
+    results = [[] for _ in range(n_threads)]
+    errors = []
+
+    def work(out):
+        try:
+            for _ in range(n_evals):
+                out.append(evaluate_with_gradient(loss, theta))
+        except Exception as e:  # reported by the assertions below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for out in results:
+        assert len(out) == n_evals
+        for rec in out:
+            assert rec.value == serial.value
+            assert np.array_equal(rec.gradient, serial.gradient)

@@ -144,6 +144,23 @@ def test_eval_checkpoint(tmp_path, capsys):
         pytest.approx(trained["results"]["test_ll_nats"], abs=1e-12)
 
 
+def test_eval_zero_householder_vector_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    train_dir = tmp_path / "trained"
+    main(["train", "--config", str(cfg_path), "--output", str(train_dir)])
+    doc = json.loads((train_dir / "checkpoint.json").read_text())
+    doc["transforms"][0]["params"]["v1"] = [0.0, 0.0, 0.0]
+    bad = tmp_path / "zero_v.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                 "--output", str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "'v1'" in err and "zero" in err
+
+
 def test_eval_dimension_mismatch_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nestedflow import autodiff as ad
+from nestedflow.autodiff import evaluate_with_gradient, finite_difference_gradient
 from nestedflow.coupling import (
     AffineCouplingTransform,
     build_multiscale_flow,
@@ -10,6 +14,7 @@ from nestedflow.coupling import (
     split_schedule,
 )
 from nestedflow.flows import local_registry, transform_forward, transform_inverse
+from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
 
 
 def fresh_coupling(dim=6, seed=0, hidden=8):
@@ -133,3 +138,99 @@ def test_every_variable_transformed_each_level():
     # shallow variables transformed during level 1 only; deep ones twice
     assert all(count >= 1 for count in seen.values())
     assert all(seen[v] == 2 for v in range(4, 8))
+
+
+# Smallest dimension whose split schedule keeps two active variables at
+# every level.
+MIN_DIM = {1: 2, 2: 3, 3: 5}
+
+
+@st.composite
+def multiscale_problems(draw, max_dim=12):
+    """A perturbed multi-scale flow, a batch, truncation indices and the
+    nested-dropout settings (lambda may be 0, which skips the inverse).
+    Rows of 8 or more coordinates make numpy sum them pairwise, so a
+    layout change of an intermediate would show in the last bits."""
+    levels = draw(st.integers(1, 3))
+    dim = draw(st.integers(MIN_DIM[levels], max_dim))
+    per_level = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from([0.0, 0.5, 20.0]))
+    order = draw(st.permutations(range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = build_multiscale_flow(dim, levels, per_level, rng, hidden_width=width)
+    m.set_params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
+    x = rng.standard_normal((batch, dim))
+    ks = rng.integers(1, dim + 1, size=batch)
+    cfg = NestedDropoutConfig(lam=lam, schedule=GeometricSchedule(p=0.3, K=dim),
+                              drop_order=order)
+    return m, x, ks, cfg
+
+
+@settings(max_examples=15, deadline=None)
+@given(multiscale_problems(max_dim=6))
+def test_fused_coupling_gradient_matches_finite_differences(problem):
+    m, x, ks, cfg = problem
+
+    def loss(theta):
+        return loss_terms(m, x, ks, cfg, theta)[0]
+
+    analytic = evaluate_with_gradient(loss, m.params)
+    numeric = finite_difference_gradient(loss, m.params, step=1e-5)
+    # Round-off of a central difference at step h is about 50 eps |f| / h.
+    atol = 1e-7 + 50 * np.finfo(float).eps * abs(analytic.value) / 1e-5
+    assert np.all(np.abs(analytic.gradient - numeric) <= atol + 1e-4 * np.abs(numeric))
+
+
+@settings(max_examples=30, deadline=None)
+@given(multiscale_problems())
+def test_tracked_coupling_values_equal_untracked(problem):
+    """Training and evaluation compute the same function, bit for bit."""
+    m, x, ks, cfg = problem
+    mask = np.where(np.arange(m.dim)[None, :] < ks[:, None], 1.0, 0.0)
+    seen = {}
+
+    def loss(theta):
+        z, logdet = m.forward_batch(x, theta)
+        x_rec = m.inverse_batch(ad.mul(z, mask), theta)
+        seen.update(z=z.value, logdet=logdet.value, x_rec=x_rec.value)
+        return ad.add(loss_terms(m, x, ks, cfg, theta)[0], ad.vsum(x_rec))
+
+    tracked = evaluate_with_gradient(loss, m.params)
+    z, logdet = m.forward_batch(x)
+    x_rec = m.inverse_batch(z * mask)
+    assert np.array_equal(seen["z"], z)
+    assert np.array_equal(seen["logdet"], logdet)
+    assert np.array_equal(seen["x_rec"], x_rec)
+    untracked = np.add(loss_terms(m, x, ks, cfg)[0], np.sum(x_rec))
+    assert tracked.value == float(untracked)
+
+
+def count_graph_nodes(loss):
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent, _ in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(multiscale_problems())
+def test_loss_records_few_nodes_per_coupling(problem):
+    """Each coupling application stays a handful of tape nodes: the fused
+    node, its two output splits and the log-det sum.  A conditioner
+    composed from elementwise primitives would take about 28."""
+    m, x, ks, cfg = problem
+    losses = []
+
+    def loss(theta):
+        losses.append(loss_terms(m, x, ks, cfg, theta)[0])
+        return losses[-1]
+
+    evaluate_with_gradient(loss, m.params)
+    applications = len(m.transforms) * (2 if cfg.lam > 0.0 else 1)
+    assert count_graph_nodes(losses[0]) <= 15 + 4 * applications
