@@ -18,17 +18,13 @@ from .coupling import (AffineCouplingTransform, MultiScaleFlow,
 from .datasets import (Dataset, gen_synthetic_gaussian, gen_toy_hierarchical,
                        load_dataset, save_dataset)
 from .evaluation import (RunReport, avg_log_likelihood, bits_per_dim,
-                         make_run_report, mse_curve, truncated_sample)
+                         make_run_report, mse_curve)
 from .flows import (FlowModel, LULinearTransform, OffsetTransform,
-                    QRLinearTransform, TransformResult, build_lu_flow,
-                    build_qr_flow, flow_log_likelihood, flow_sample,
-                    standard_normal_logpdf, transform_forward,
-                    transform_inverse)
+                    QRLinearTransform, build_lu_flow, build_qr_flow)
 from .checkpoint import load_model, save_model
 from .nested_dropout import (GeometricSchedule, NestedDropoutConfig,
-                             combined_loss, identity_order, reconstruct,
-                             reconstruction_error, reversed_order, sample_k,
-                             sample_ks, truncate)
+                             identity_order, loss_terms, reversed_order,
+                             sample_ks)
 from .optim import (AdamState, TrainConfig, TrainTrace, adam_step, cosine_lr,
                     init_adam, train)
 from .pca import PCAModel, pca_fit, pca_mse, pca_project

@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over batched numpy arrays.
 
 A small tape machine: model code builds scalar losses out of the primitive
-functions in this module (``add``/``sub``/``mul``/``square``, ``exp``/``log``,
-``vsum``/``dot``/``matmul``/``transpose``, the structural ``slice_1d``,
+functions in this module (``add``/``sub``/``mul``/``square``/``exp``,
+``vsum``/``matmul``/``transpose``, the structural ``slice_1d``,
 ``concat_1d``, ``gather_cols`` and ``matrix_from_entries``, and the flow
 primitives ``householder_rows`` and ``solve_triangular_rows``), and
 :func:`evaluate_with_gradient` replays the tape backwards to accumulate exact
@@ -64,29 +64,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(op={self.op!r}, shape={self.shape})"
-
-    # Operator sugar; the named functions below are the actual primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 _LOCAL = threading.local()  # ``tape``: the active recording of this thread
@@ -186,13 +163,6 @@ def exp(a):
     return record(out, ((a, lambda g: g * out),), "exp")
 
 
-def log(a):
-    if not _is_var(a):
-        return np.log(a)
-    av = a.value
-    return record(np.log(av), ((a, lambda g: g / av),), "log")
-
-
 def vsum(a, axis=None):
     """Summation (optionally along one axis)."""
     if not _is_var(a):
@@ -206,17 +176,6 @@ def vsum(a, axis=None):
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
     return record(out, ((a, vjp),), "sum")
-
-
-def dot(a, b):
-    """Vector-vector inner product."""
-    if not (_is_var(a) or _is_var(b)):
-        return np.dot(a, b)
-    av, bv = _val(a), _val(b)
-    out = np.dot(av, bv)
-    pa = (a, lambda g, o=bv: g * o) if _is_var(a) else (None, None)
-    pb = (b, lambda g, o=av: g * o) if _is_var(b) else (None, None)
-    return record(out, (pa, pb), "dot")
 
 
 def matmul(a, b):

@@ -8,6 +8,7 @@ the identical float64, so save/load round trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import numpy as np
@@ -53,49 +54,70 @@ def model_to_dict(m: FlowModel, rng_seed: int | None = None) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Re-raise a failure to read ``what`` as a one-line CheckpointError."""
+    try:
+        yield
+    except CheckpointError:
+        raise
+    except KeyError as e:
+        raise CheckpointError(f"{what} missing field {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"malformed {what}: {e}") from None
+
+
 def model_from_dict(doc: dict) -> FlowModel:
+    """Rebuild a model; any malformed field raises a one-line CheckpointError."""
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointError(f"unsupported checkpoint schema version {version!r}")
-    try:
-        dim = int(doc["dimension"])
+    with _malformed("checkpoint"):
+        dim = doc["dimension"]
         entries = doc["transforms"]
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint missing field {e.args[0]!r}") from None
+    if not isinstance(dim, int):
+        raise CheckpointError(f"checkpoint dimension {dim!r} is not an integer")
+    if not isinstance(entries, list):
+        raise CheckpointError("checkpoint field 'transforms' must be a list")
     transforms = []
     params = []
     for pos, entry in enumerate(entries):
-        kind = entry.get("type")
-        cls = _TRANSFORM_TYPES.get(kind)
-        if cls is None:
-            raise CheckpointError(f"unknown transform type {kind!r} at position {pos}")
-        cfg = {k: v for k, v in entry.items() if k not in ("type", "params")}
-        t = cls.from_config(cfg)
-        blocks = entry.get("params", {})
-        for name, size in t.param_blocks:
-            if name not in blocks:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"transform {pos} must be a JSON object")
+        with _malformed(f"transform {pos}"):
+            kind = entry.get("type")
+            cls = _TRANSFORM_TYPES.get(kind)
+            if cls is None:
                 raise CheckpointError(
-                    f"transform {pos} ({kind}) missing parameter block {name!r}")
-            block = np.asarray(blocks[name], dtype=np.float64)
-            if block.size != size:
-                raise CheckpointError(
-                    f"transform {pos} ({kind}) block {name!r} has size "
-                    f"{block.size}, expected {size}")
-            if kind == QRLinearTransform.kind and name[0] == "v" \
-                    and float(block @ block) == 0.0:
-                raise CheckpointError(
-                    f"transform {pos} ({kind}) Householder vector {name!r} "
-                    f"is zero")
-            params.append(block)
+                    f"unknown transform type {kind!r} at position {pos}")
+            t = cls.from_config({k: v for k, v in entry.items()
+                                 if k not in ("type", "params")})
+            blocks = entry.get("params", {})
+            for name, size in t.param_blocks:
+                if name not in blocks:
+                    raise CheckpointError(
+                        f"transform {pos} ({kind}) missing parameter block {name!r}")
+                block = np.asarray(blocks[name], dtype=np.float64)
+                if block.shape != (size,):
+                    raise CheckpointError(
+                        f"transform {pos} ({kind}) block {name!r} has shape "
+                        f"{block.shape}, expected size {size}")
+                if kind == QRLinearTransform.kind and name[0] == "v" \
+                        and float(block @ block) == 0.0:
+                    raise CheckpointError(
+                        f"transform {pos} ({kind}) Householder vector {name!r} "
+                        f"is zero")
+                params.append(block)
         transforms.append(t)
     flat = np.concatenate(params) if params else np.zeros(0)
-    if "multiscale" in doc:
+    with _malformed("checkpoint"):
+        if "multiscale" not in doc:
+            return FlowModel(dim, transforms, flat)
         ms = doc["multiscale"]
         return MultiScaleFlow(dim, transforms, flat, ms["depth_rank"],
                               ms["n_levels"], ms["couplings_per_level"])
-    return FlowModel(dim, transforms, flat)
 
 
 def save_model(m: FlowModel, path, rng_seed: int | None = None):

@@ -179,15 +179,10 @@ def load_config(path, schema: dict = EXPERIMENT_SCHEMA) -> dict:
     return validate_config(doc, schema)
 
 
-def resolve_config(doc: dict, seed: int | None = None,
-                   output_dir: str | None = None) -> dict:
-    """Apply CLI overrides and fill defaults; returns a new document."""
+def resolve_config(doc: dict) -> dict:
+    """Fill defaults; returns a new document."""
     out = copy.deepcopy(doc)
-    if seed is not None:
-        out["seed"] = int(seed)
     out.setdefault("seed", 0)
-    if output_dir is not None:
-        out["output_dir"] = str(output_dir)
     train = out["train"]
     train.setdefault("lr_schedule", "constant")
     if out["model"]["kind"] == "coupling-multiscale":

@@ -1,11 +1,10 @@
 """Evaluation metrics and run reports.
 
-Metrics: average log likelihood in nats and bits per dimension, the
+Metrics: average log likelihood in nats and bits per dimension, and the
 reconstruction-MSE-versus-retained-dimensions curve for a given drop
-order, and truncated-latent sampling.  A RunReport bundles the metrics
-with the drop order, config hash, and seed; wall-clock timings ride along
-in a separate section so that deterministic content can be compared byte
-for byte across reruns.
+order.  A RunReport bundles the metrics with the drop order, config hash,
+and seed; wall-clock timings ride along in a separate section so that
+deterministic content can be compared byte for byte across reruns.
 """
 
 from __future__ import annotations
@@ -53,14 +52,6 @@ def mse_curve(m: FlowModel, x: np.ndarray, order) -> np.ndarray:
         diff = x_rec - x
         out[k - 1] = np.mean(np.sum(diff * diff, axis=1)) / k_dim
     return out
-
-
-def truncated_sample(m: FlowModel, k: int, order, rng: np.random.Generator) -> np.ndarray:
-    """One draw with the base sample truncated to its top-k ordered
-    coordinates before inverting."""
-    z = rng.standard_normal((1, m.dim))
-    mask = keep_mask(k, as_order(order, m.dim), m.dim).astype(np.float64)
-    return np.asarray(m.inverse_batch(z * mask))[0]
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,7 @@ def deterministic_report_bytes(path) -> bytes:
     return json.dumps(doc["results"], sort_keys=True).encode()
 
 
-def save_curve_csv(path, curve, order=None):
+def save_curve_csv(path, curve):
     """Write an MSE curve as CSV rows (k, mse)."""
     curve = np.asarray(curve)
     with open(path, "w") as f:

@@ -17,13 +17,15 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .checkpoint import load_model, save_model
-from .config import config_hash, resolve_config, validate_config
+from .config import (SWEEP_SCHEMA, ConfigError, config_hash, resolve_config,
+                     validate_config)
 from .coupling import (MultiScaleFlow, build_multiscale_flow,
                        depth_forward_order, multiscale_depth_order)
 from .datasets import Dataset, gen_synthetic_gaussian, gen_toy_hierarchical, \
@@ -212,7 +214,7 @@ def run_train(cfg: dict, out_dir=None):
         },
     )
     eval_seconds = time.perf_counter() - started
-    report = _with_timing(report, {
+    report = replace(report, wall_clock={
         "train_seconds": result.seconds,
         "train_seconds_per_step": result.seconds_per_step,
         "eval_seconds": eval_seconds,
@@ -221,16 +223,16 @@ def run_train(cfg: dict, out_dir=None):
 
     save_model(model, out_dir / "checkpoint.json", rng_seed=cfg["seed"])
     result.trace.save_csv(out_dir / "trace.csv")
-    save_report(report, out_dir / "report.json")
-    save_curve_csv(out_dir / f"mse_curve_{order_name}.csv", report.mse_curve)
-    for label, entry in report.curves.items():
-        save_curve_csv(out_dir / f"mse_curve_{label}.csv", entry["mse"])
+    _save_report_and_curves(report, out_dir, order_name)
     return report, out_dir
 
 
-def _with_timing(report, wall_clock: dict):
-    from dataclasses import replace
-    return replace(report, wall_clock=wall_clock)
+def _save_report_and_curves(report, out_dir: Path, primary_label: str) -> None:
+    """report.json plus one MSE curve CSV per evaluated order."""
+    save_report(report, out_dir / "report.json")
+    save_curve_csv(out_dir / f"mse_curve_{primary_label}.csv", report.mse_curve)
+    for label, entry in report.curves.items():
+        save_curve_csv(out_dir / f"mse_curve_{label}.csv", entry["mse"])
 
 
 def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
@@ -262,11 +264,7 @@ def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
         notes={"mode": "eval", "checkpoint": str(checkpoint_path),
                "dataset": dataset_notes(data)},
     )
-    save_report(report, out_dir / "report.json")
-    save_curve_csv(out_dir / f"mse_curve_{order_label(primary)}.csv",
-                   report.mse_curve)
-    for label, entry in report.curves.items():
-        save_curve_csv(out_dir / f"mse_curve_{label}.csv", entry["mse"])
+    _save_report_and_curves(report, out_dir, order_label(primary))
     return report, out_dir
 
 
@@ -325,16 +323,15 @@ def worker_count() -> int:
 def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
     aggregate table and do not stop the sweep."""
-    from .config import SWEEP_SCHEMA
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
     seeds = sweep_cfg.get("seeds", [base.get("seed", 0)])
     out_dir = Path(out_dir or sweep_cfg.get("output_dir") or "runs/sweep")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     keys = sorted(grid)
     jobs = []
+    named = {}  # child directory name -> the child that took it
     for values in itertools.product(*(grid[k] for k in keys)):
         for seed in seeds:
             cfg = json.loads(json.dumps(base))
@@ -343,8 +340,16 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             cfg["seed"] = int(seed)
             cfg.pop("output_dir", None)
             tag = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, values))
-            jobs.append((dict(zip(keys, values)), seed, cfg,
-                         out_dir / f"{tag}_s{seed}"))
+            # Path separators in values would nest directories.
+            name = f"{tag}_s{seed}".replace("/", "").replace("\\", "")
+            params = dict(zip(keys, values))
+            child = f"{params} seed {seed}"
+            if name in named:
+                raise ConfigError(f"sweep children {named[name]} and {child} "
+                                  f"would share the run directory {name!r}")
+            named[name] = child
+            jobs.append((params, seed, cfg, out_dir / name))
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     workers = worker_count()

@@ -14,7 +14,6 @@ Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +25,6 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 class FlowEvalError(ArithmeticError):
     """A transform produced a non-finite intermediate value."""
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """Output of a single transform application on one point."""
-
-    output: np.ndarray
-    log_abs_det_jacobian: float
 
 
 class BlockView:
@@ -50,26 +41,6 @@ class BlockView:
     def __getitem__(self, name):
         start, stop = self.ranges[name]
         return ad.slice_1d(self.theta, start, stop)
-
-
-def local_registry(blocks):
-    """Half-open index ranges for an ordered list of (name, size) blocks."""
-    ranges = {}
-    offset = 0
-    for name, size in blocks:
-        ranges[name] = (offset, offset + size)
-        offset += size
-    return ranges
-
-
-def _strict_lower_indices(d):
-    rows, cols = np.tril_indices(d, k=-1)
-    return rows, cols
-
-
-def _strict_upper_indices(d):
-    rows, cols = np.triu_indices(d, k=1)
-    return rows, cols
 
 
 class LULinearTransform:
@@ -89,8 +60,8 @@ class LULinearTransform:
         if sorted(self.permutation.tolist()) != list(range(dim)):
             raise ValueError("permutation must be a bijection on 0..D-1")
         self._inv_permutation = np.argsort(self.permutation)
-        self._low = _strict_lower_indices(dim)
-        self._up = _strict_upper_indices(dim)
+        self._low = np.tril_indices(dim, k=-1)
+        self._up = np.triu_indices(dim, k=1)
         self._diag = np.arange(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [
@@ -148,7 +119,7 @@ class QRLinearTransform:
         self.n_householder = dim if n_householder is None else n_householder
         if self.n_householder < 1:
             raise ValueError("need at least one Householder vector")
-        self._up = _strict_upper_indices(dim)
+        self._up = np.triu_indices(dim, k=1)
         self._diag = np.arange(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [(f"v{h}", dim) for h in range(self.n_householder)]
@@ -219,13 +190,6 @@ class OffsetTransform:
         return cls(cfg["dim"])
 
 
-def standard_normal_logpdf(z) -> float:
-    """Log density of the standard normal at a single point."""
-    z = np.asarray(z, dtype=np.float64)
-    d = z.size
-    return float(-0.5 * d * LOG_TWO_PI - 0.5 * np.dot(z, z))
-
-
 def standard_normal_logpdf_rows(z):
     """Per-row log density; accepts arrays or tape nodes of shape (N, D)."""
     d = np.shape(ad._val(z))[1]
@@ -258,10 +222,6 @@ class FlowModel:
         if params.size != offset:
             raise ValueError(f"expected {offset} parameters, got {params.size}")
         self.params = ParameterVector(params, registry)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.dim
 
     @property
     def n_params(self) -> int:
@@ -311,36 +271,6 @@ class FlowModel:
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
         return self.inverse_batch(z)
-
-
-def transform_forward(t, params_local: np.ndarray, x) -> TransformResult:
-    """Apply one transform to a single point using its local parameters."""
-    x = np.asarray(x, dtype=np.float64)
-    view = BlockView(np.asarray(params_local, dtype=np.float64),
-                     local_registry(t.param_blocks))
-    z, logdet = t.forward(view, x[None, :])
-    ld = ad._val(logdet)
-    ld = float(ld if np.isscalar(ld) or np.shape(ld) == () else ld[0])
-    return TransformResult(output=np.asarray(z)[0], log_abs_det_jacobian=ld)
-
-
-def transform_inverse(t, params_local: np.ndarray, z) -> np.ndarray:
-    """Invert one transform on a single point using its local parameters."""
-    z = np.asarray(z, dtype=np.float64)
-    view = BlockView(np.asarray(params_local, dtype=np.float64),
-                     local_registry(t.param_blocks))
-    return np.asarray(t.inverse(view, z[None, :]))[0]
-
-
-def flow_log_likelihood(m: FlowModel, x) -> float:
-    """Exact log likelihood of a single point (change of variables, nats)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.asarray(m.log_likelihood_batch(x[None, :]))[0])
-
-
-def flow_sample(m: FlowModel, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the flow: the inverse image of a base sample."""
-    return m.sample_batch(1, rng)[0]
 
 
 def build_lu_flow(dim: int, rng: np.random.Generator, offset: bool = False) -> FlowModel:

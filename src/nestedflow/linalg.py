@@ -1,227 +1,22 @@
-"""Dense real linear algebra kernels used throughout the package.
-
-Everything here works on plain float64 numpy arrays: 1-D arrays are vectors,
-2-D arrays are square matrices.  Dimensions stay small (<= 64), so the
-implementations favour clarity and numerical robustness over asymptotic speed.
-"""
+"""Random rotations for the rotated-Gaussian dataset generators."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "LinalgError",
-    "SingularMatrixError",
-    "as_vector",
-    "as_square_matrix",
-    "householder_apply",
-    "householder_matrix",
-    "triangular_solve",
-    "log_abs_det_triangular",
-    "symmetric_eigendecompose",
-    "householder_qr",
-    "random_rotation",
-]
-
-
-class LinalgError(ValueError):
-    """Domain error for linear-algebra operations."""
-
-
-class SingularMatrixError(LinalgError):
-    """A triangular factor has a zero diagonal entry."""
-
-
-def as_vector(x) -> np.ndarray:
-    """Validate and return ``x`` as a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise LinalgError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise LinalgError("vector contains non-finite entries")
-    return v
-
-
-def as_square_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a finite square float64 matrix."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise LinalgError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(a)):
-        raise LinalgError("matrix contains non-finite entries")
-    return a
-
-
-def householder_apply(v, x) -> np.ndarray:
-    """Apply the Householder reflection defined by ``v`` to ``x``.
-
-    Computes ``x - 2 (v.x)/(v.v) v``, i.e. ``H x`` with
-    ``H = I - 2 v v^T / (v^T v)``.  ``H`` is orthogonal and involutory.
-    """
-    v = as_vector(v)
-    x = as_vector(x)
-    if v.shape != x.shape:
-        raise LinalgError(f"dimension mismatch: v has {v.size}, x has {x.size}")
-    vv = float(v @ v)
-    if vv == 0.0:
-        raise LinalgError("Householder vector must be nonzero")
-    return x - (2.0 * float(v @ x) / vv) * v
-
-
-def householder_matrix(v) -> np.ndarray:
-    """Dense matrix ``I - 2 v v^T / (v^T v)`` of the reflection."""
-    v = as_vector(v)
-    vv = float(v @ v)
-    if vv == 0.0:
-        raise LinalgError("Householder vector must be nonzero")
-    return np.eye(v.size) - (2.0 / vv) * np.outer(v, v)
-
-
-def triangular_solve(t, b, lower: bool, unit_diag: bool = False) -> np.ndarray:
-    """Solve ``T y = b`` for triangular ``T`` by substitution.
-
-    ``lower`` selects the orientation; with ``unit_diag`` the stored diagonal
-    is ignored and treated as ones.  Raises :class:`SingularMatrixError` on a
-    zero diagonal entry when the diagonal is used.
-    """
-    t = as_square_matrix(t)
-    b = as_vector(b)
-    n = t.shape[0]
-    if b.size != n:
-        raise LinalgError(f"dimension mismatch: T is {n}x{n}, b has {b.size}")
-    y = np.empty(n)
-    rows = range(n) if lower else range(n - 1, -1, -1)
-    for i in rows:
-        if lower:
-            acc = b[i] - t[i, :i] @ y[:i]
-        else:
-            acc = b[i] - t[i, i + 1 :] @ y[i + 1 :]
-        if unit_diag:
-            y[i] = acc
-        else:
-            d = t[i, i]
-            if d == 0.0:
-                raise SingularMatrixError(f"zero diagonal entry at index {i}")
-            y[i] = acc / d
-    return y
-
-
-def log_abs_det_triangular(t) -> float:
-    """Sum of ``log |T_ii|`` for a triangular matrix ``T``."""
-    t = as_square_matrix(t)
-    d = np.diag(t)
-    if np.any(d == 0.0):
-        i = int(np.flatnonzero(d == 0.0)[0])
-        raise SingularMatrixError(f"zero diagonal entry at index {i}")
-    return float(np.sum(np.log(np.abs(d))))
-
-
-def symmetric_eigendecompose(s, sym_tol: float = 1e-9):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
-
-    Returns ``(w, V)`` with eigenvalues ``w`` sorted descending and
-    eigenvectors as the columns of ``V``, so ``S = V diag(w) V^T``.
-    Eigenvector signs are canonicalized (largest-magnitude component
-    positive) for reproducibility.
-    """
-    s = as_square_matrix(s)
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if float(np.max(np.abs(s - s.T))) > sym_tol * scale:
-        raise LinalgError("matrix is not symmetric within tolerance")
-
-    n = s.shape[0]
-    a = 0.5 * (s + s.T)
-    v = np.eye(n)
-    if n > 1:
-        off_tol = 1e-14 * max(1.0, float(np.sqrt(np.sum(a * a))))
-        for _ in range(60):  # sweeps; D <= 64 converges in far fewer
-            resid = a - np.diag(np.diag(a))
-            off = float(np.sqrt(np.sum(resid * resid)))
-            if off <= off_tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= 1e-300:
-                        a[p, q] = a[q, p] = 0.0
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    sn = t * c
-                    rot = np.array([[c, sn], [-sn, c]])
-                    a[:, [p, q]] = a[:, [p, q]] @ rot
-                    a[[p, q], :] = rot.T @ a[[p, q], :]
-                    a[p, q] = a[q, p] = 0.0
-                    v[:, [p, q]] = v[:, [p, q]] @ rot
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):  # deterministic sign convention
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
-    return w, v
-
-
-def householder_qr(a):
-    """QR factorization by Householder reflections.
-
-    Returns ``(q, r)`` with ``q`` orthogonal, ``r`` upper triangular with
-    nonnegative diagonal, and ``a = q @ r``.
-    """
-    a = as_square_matrix(a)
-    n = a.shape[0]
-    r = a.copy()
-    q = np.eye(n)
-    for j in range(n):
-        col = r[j:, j]
-        norm = float(np.sqrt(col @ col))
-        if norm == 0.0:
-            continue
-        v = col.copy()
-        v[0] += norm if v[0] >= 0.0 else -norm
-        vv = float(v @ v)
-        if vv == 0.0:
-            continue
-        w = np.zeros(n)
-        w[j:] = v
-        r -= (2.0 / vv) * np.outer(w, w @ r)
-        q -= (2.0 / vv) * np.outer(q @ w, w)
-    # Force a nonnegative diagonal on R; fold the signs into Q.
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    r = signs[:, None] * r
-    q = q * signs[None, :]
-    return q, r
+__all__ = ["random_rotation"]
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random rotation matrix (orthogonal, det +1)."""
+    """Uniformly random rotation matrix (orthogonal, det +1).
+
+    The Q factor of a Gaussian matrix's QR factorization, made unique by a
+    positive diagonal of R, with the last column negated when det(Q) < 0.
+    """
     if dim < 1:
-        raise LinalgError("dimension must be >= 1")
-    q, _ = householder_qr(rng.standard_normal((dim, dim)))
-    if _det_sign_orthogonal(q) < 0.0:
+        raise ValueError("dimension must be >= 1")
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    if np.linalg.det(q) < 0.0:
         q[:, -1] = -q[:, -1]
     return q
-
-
-def _det_sign_orthogonal(q: np.ndarray) -> float:
-    """Sign of det(Q) for orthogonal Q, via elimination with partial pivoting."""
-    a = q.copy()
-    n = a.shape[0]
-    sign = 1.0
-    for j in range(n):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-            sign = -sign
-        if a[j, j] < 0.0:
-            sign = -sign
-        a[j + 1 :, :] -= np.outer(a[j + 1 :, j] / a[j, j], a[j, :])
-    return sign

@@ -5,22 +5,22 @@ clamped at the latent dimension K; latent coordinates whose ordering rank
 exceeds k are zeroed before inverting the flow, and the squared
 reconstruction error joins the negative log likelihood in one objective:
 
-    loss = (1/N) sum_n [ -log p(x_n) + lambda * d(x_n, reconstruct(x_n, k_n)) ]
+    loss = (1/N) sum_n [ -log p(x_n) + lambda * d(x_n, x_rec(x_n, k_n)) ]
 
-with d the per-dimension mean squared error.  Orders are permutations
-mapping ordering rank (0-based) to latent coordinate index; rank 0 is the
-most important, always-kept coordinate.
+with d the per-dimension mean squared error and x_rec(x, k) the inverse
+image of the latent of x truncated to k coordinates.  Orders are
+permutations mapping ordering rank (0-based) to latent coordinate index;
+rank 0 is the most important, always-kept coordinate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteLossError
 from .flows import FlowModel, standard_normal_logpdf_rows
 
 
@@ -44,11 +44,6 @@ class GeometricSchedule:
         out = (1.0 - self.p) ** (k - 1) * self.p
         out[-1] = (1.0 - self.p) ** (self.K - 1)
         return out
-
-
-def sample_k(s: GeometricSchedule, rng: np.random.Generator) -> int:
-    """One truncation index in [1, K]."""
-    return int(sample_ks(s, rng, 1)[0])
 
 
 def sample_ks(s: GeometricSchedule, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -105,30 +100,6 @@ def keep_mask(ks, order, K: int) -> np.ndarray:
     return rank[None, :] < ks[:, None]
 
 
-def truncate(z, k: int, order) -> np.ndarray:
-    """Zero every coordinate of z whose ordering rank is k or beyond."""
-    z = np.asarray(z, dtype=np.float64)
-    mask = keep_mask(k, as_order(order, z.size), z.size)[0]
-    return np.where(mask, z, 0.0)
-
-
-def reconstruct(m: FlowModel, x, k: int, order) -> np.ndarray:
-    """Round-trip a point through the flow with the latent truncated to k
-    dimensions: inverse(truncate(forward(x), k))."""
-    x = np.asarray(x, dtype=np.float64)
-    z, _ = m.forward_batch(x[None, :])
-    z_trunc = truncate(np.asarray(z)[0], k, order)
-    return np.asarray(m.inverse_batch(z_trunc[None, :]))[0]
-
-
-def reconstruction_error(x, x_rec) -> float:
-    """Per-dimension mean squared error between a point and its
-    reconstruction."""
-    x = np.asarray(x, dtype=np.float64)
-    diff = x - np.asarray(x_rec, dtype=np.float64)
-    return float(np.dot(diff, diff) / x.size)
-
-
 def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
                theta=None):
     """Per-batch objective pieces given fixed truncation indices.
@@ -151,27 +122,3 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     recon_mean = ad.mul(sq, 1.0 / (n * d))
     total = ad.add(nll_mean, ad.mul(recon_mean, cfg.lam))
     return total, nll_mean, recon_mean
-
-
-def combined_loss(m: FlowModel, batch: np.ndarray, cfg: NestedDropoutConfig,
-                  rng: np.random.Generator) -> float:
-    """Single-sample Monte Carlo estimate of the combined objective on a
-    batch, one truncation index per datapoint."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a nonempty (N, D) array")
-    ks = sample_ks(cfg.schedule, rng, batch.shape[0])
-    total, _, _ = loss_terms(m, batch, ks, cfg)
-    total = float(total)
-    if not np.isfinite(total):
-        _raise_per_point(m, batch, ks, cfg)
-    return total
-
-
-def _raise_per_point(m, batch, ks, cfg):
-    """Locate which datapoint produced a non-finite term and report it."""
-    for i in range(batch.shape[0]):
-        t, _, _ = loss_terms(m, batch[i : i + 1], ks[i : i + 1], cfg)
-        if not np.isfinite(float(t)):
-            raise NonFiniteLossError(f"non-finite loss term at datapoint index {i}")
-    raise NonFiniteLossError("non-finite loss (no single datapoint isolated)")

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import symmetric_eigendecompose
-
 
 @dataclass(frozen=True)
 class PCAModel:
@@ -45,7 +43,12 @@ def pca_fit(x: np.ndarray) -> PCAModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / x.shape[0]
-    w, v = symmetric_eigendecompose(cov)
+    w, v = np.linalg.eigh(cov)
+    w, v = w[::-1], v[:, ::-1]  # descending
+    # Deterministic signs: each eigenvector's largest-magnitude entry is
+    # positive.
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    v = v * np.where(top < 0.0, -1.0, 1.0)
     # Round-off can push a zero eigenvalue a hair negative.
     w = np.maximum(w, 0.0)
     return PCAModel(mean=mean, components=v.T, eigenvalues=w)

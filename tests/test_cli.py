@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nestedflow.checkpoint import model_to_dict
 from nestedflow.cli import main
+from nestedflow.coupling import build_multiscale_flow
 from nestedflow.datasets import gen_synthetic_gaussian
 from nestedflow.evaluation import deterministic_report_bytes
 from nestedflow.experiment import derive_seeds, run_train
+from nestedflow.flows import build_lu_flow, build_qr_flow
 from nestedflow.pca import pca_fit, pca_mse
 
 
@@ -176,6 +179,75 @@ def test_eval_dimension_mismatch_is_usage_error(tmp_path, capsys):
     assert "dimension 3" in err and "dimension 4" in err
 
 
+def eval_checkpoint_doc(tmp_path, capsys, doc):
+    """Exit code and stderr of `eval` on a 3-D config with checkpoint doc."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    path = tmp_path / "checkpoint.json"
+    # json writes inf as Infinity; 1e400 is the spelling a file may carry
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
+                 "--output", str(tmp_path / "eval")])
+    return code, capsys.readouterr().err
+
+
+def test_eval_underflowing_diagonal_exits_two(tmp_path, capsys):
+    doc = model_to_dict(build_qr_flow(3, np.random.default_rng(0)))
+    # exp(-1000) underflows to 0: the triangular factor is singular
+    doc["transforms"][0]["params"]["upper_logdiag"] = [-1000.0] * 3
+    code, err = eval_checkpoint_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure:") and "zero diagonal" in err
+
+
+CHECKPOINT_MODELS = {
+    "qr": lambda rng: build_qr_flow(3, rng),
+    "lu": lambda rng: build_lu_flow(3, rng, offset=True),
+    "coupling": lambda rng: build_multiscale_flow(4, 1, 2, rng, hidden_width=4),
+}
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _drop(pos, key):
+    return lambda doc: doc["transforms"][pos].pop(key)
+
+
+@pytest.mark.parametrize("kind, edit, names", [
+    ("qr", _set("transforms", [1]), "transform 0"),
+    ("qr", _set("transforms", {"type": "qr_linear"}), "'transforms'"),
+    ("qr", _set("dimension", float("inf")), "dimension inf"),
+    ("qr", _set("dimension", [3]), "dimension [3]"),
+    ("qr", lambda doc: doc.pop("dimension"), "'dimension'"),
+    ("lu", _drop(1, "dim"), "'dim'"),
+    ("lu", _drop(1, "permutation"), "'permutation'"),
+    ("qr", _drop(0, "n_householder"), "'n_householder'"),
+    ("qr", lambda doc: doc["transforms"][0].__setitem__("n_householder", 1e400),
+     "transform 0"),
+    ("coupling", _drop(0, "identity_idx"), "'identity_idx'"),
+    ("coupling", _drop(1, "transformed_idx"), "'transformed_idx'"),
+    ("coupling", lambda doc: doc["multiscale"].pop("depth_rank"), "'depth_rank'"),
+    ("coupling", _set("multiscale", [1]), "malformed checkpoint"),
+    ("lu", lambda doc: doc["transforms"][1]["params"].__setitem__("lower", "x"),
+     "transform 1"),
+], ids=["transform-not-object", "transforms-not-list", "dimension-overflow",
+        "dimension-not-number", "no-dimension", "no-dim", "no-permutation",
+        "no-n_householder", "n_householder-overflow", "no-identity_idx",
+        "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
+        "block-not-numbers"])
+def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names):
+    doc = model_to_dict(CHECKPOINT_MODELS[kind](np.random.default_rng(0)))
+    edit(doc)
+    code, err = eval_checkpoint_doc(tmp_path, capsys, doc)
+    assert code == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error:") and names in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "absent.json")]) == 1
     assert "error" in capsys.readouterr().err
@@ -249,6 +321,34 @@ def test_sweep_aggregates_runs_and_records_failures(tmp_path, capsys):
             assert (Path(r[7]) / "report.json").exists()
         else:
             assert "TrainDivergenceError" in r[6]
+
+
+def test_sweep_rejects_colliding_child_names(tmp_path, capsys):
+    base = json.loads(json.dumps(write_config(tmp_path / "base.json")))
+    base["nd"] = {"lambda": 0.0, "p": 0.5}
+    # str(1) == "1" twice: two children would write lambda=1_s0
+    sweep = {"base": base, "grid": {"nd.lambda": [1, 1.0, 1]}, "seeds": [0]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'lambda=1_s0'" in err
+    assert not out.exists()  # rejected before any child ran
+
+
+def test_sweep_child_names_drop_path_separators(tmp_path):
+    from nestedflow.experiment import run_sweep
+    base = write_config(tmp_path / "base.json")
+    missing = str(tmp_path / "data" / "points.csv")
+    sweep = {"base": base, "grid": {"dataset": [{"path": missing}]},
+             "seeds": [0]}
+    out = run_sweep(sweep, tmp_path / "sweep")
+    lines = (out / "aggregate.csv").read_text().splitlines()
+    run_dir = Path(lines[1].split(",")[-1])
+    assert run_dir.parent == out
+    assert "/" not in run_dir.name and "failed" in lines[1]
 
 
 def test_sweep_worker_env(tmp_path, monkeypatch):

@@ -100,9 +100,14 @@ def test_resolve_fills_defaults():
 
 
 def test_resolve_overrides_win():
-    out = resolve_config(minimal_config(), seed=9, output_dir="elsewhere")
+    cfg = minimal_config()
+    cfg["seed"] = 9
+    cfg["output_dir"] = "elsewhere"
+    cfg["train"]["lr_schedule"] = "cosine-to-zero"
+    out = resolve_config(cfg)
     assert out["seed"] == 9
     assert out["output_dir"] == "elsewhere"
+    assert out["train"]["lr_schedule"] == "cosine-to-zero"
 
 
 def test_resolve_coupling_defaults():
@@ -116,15 +121,16 @@ def test_resolve_coupling_defaults():
 
 def test_resolve_does_not_mutate_input():
     cfg = minimal_config()
-    resolve_config(cfg, seed=5)
+    resolve_config(cfg)
     assert "seed" not in cfg
+    assert "lr_schedule" not in cfg["train"]
 
 
 def test_hash_ignores_output_dir_only():
     a = resolve_config(minimal_config())
-    b = resolve_config(minimal_config(), output_dir="elsewhere")
+    b = dict(a, output_dir="elsewhere")
     assert config_hash(a) == config_hash(b)
-    c = resolve_config(minimal_config(), seed=1)
+    c = dict(a, seed=1)
     assert config_hash(a) != config_hash(c)
 
 

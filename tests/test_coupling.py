@@ -13,7 +13,7 @@ from nestedflow.coupling import (
     multiscale_depth_order,
     split_schedule,
 )
-from nestedflow.flows import local_registry, transform_forward, transform_inverse
+from nestedflow.flows import FlowModel
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
 
 
@@ -24,12 +24,21 @@ def fresh_coupling(dim=6, seed=0, hidden=8):
     return t, t.init_params(np.random.default_rng(seed))
 
 
+def forward(t, p, x):
+    """Latent rows and per-row log-determinants of one transform."""
+    return FlowModel(t.dim, [t], p).forward_batch(np.atleast_2d(x))
+
+
+def inverse(t, p, z):
+    return FlowModel(t.dim, [t], p).inverse_batch(np.atleast_2d(z))
+
+
 def test_zero_initialized_coupling_is_identity():
     t, p = fresh_coupling()
-    x = np.random.default_rng(1).standard_normal(6)
-    res = transform_forward(t, p, x)
-    assert_allclose(res.output, x, atol=0)
-    assert res.log_abs_det_jacobian == 0.0
+    x = np.random.default_rng(1).standard_normal((1, 6))
+    z, logdet = forward(t, p, x)
+    assert_allclose(z, x, atol=0)
+    assert np.all(logdet == 0.0)
 
 
 def test_constant_conditioner_affine_arithmetic():
@@ -37,16 +46,16 @@ def test_constant_conditioner_affine_arithmetic():
     # transformed coordinate
     t = AffineCouplingTransform(3, [0, 1], [2], hidden_width=4)
     p = np.zeros(sum(size for _, size in t.param_blocks))
-    start, _ = local_registry(t.param_blocks)["b3"]
+    start, _ = FlowModel(3, [t], p).params.registry["t0.b3"]
     raw = np.arctanh(np.log(2.0) / t.log_scale_bound)
     p[start] = raw       # log-scale slot
     p[start + 1] = 1.0   # shift slot
-    res = transform_forward(t, p, np.array([5.0, -1.0, 3.0]))
-    assert_allclose(res.output[:2], [5.0, -1.0], atol=0)
-    assert res.output[2] == pytest.approx(3.0 * 2.0 + 1.0, abs=1e-12)
-    assert res.log_abs_det_jacobian == pytest.approx(np.log(2.0), abs=1e-12)
-    back = transform_inverse(t, p, res.output)
-    assert_allclose(back, [5.0, -1.0, 3.0], atol=1e-12)
+    z, logdet = forward(t, p, np.array([5.0, -1.0, 3.0]))
+    assert_allclose(z[0, :2], [5.0, -1.0], atol=0)
+    assert z[0, 2] == pytest.approx(3.0 * 2.0 + 1.0, abs=1e-12)
+    assert logdet[0] == pytest.approx(np.log(2.0), abs=1e-12)
+    back = inverse(t, p, z)
+    assert_allclose(back, [[5.0, -1.0, 3.0]], atol=1e-12)
 
 
 def numeric_logdet(t, p, x, step=1e-6):
@@ -57,8 +66,7 @@ def numeric_logdet(t, p, x, step=1e-6):
         up[j] += step
         down = x.copy()
         down[j] -= step
-        jac[:, j] = (transform_forward(t, p, up).output
-                     - transform_forward(t, p, down).output) / (2 * step)
+        jac[:, j] = (forward(t, p, up)[0][0] - forward(t, p, down)[0][0]) / (2 * step)
     return np.linalg.slogdet(jac)[1]
 
 
@@ -68,9 +76,8 @@ def test_logdet_matches_finite_difference_jacobian():
     p = p + 0.4 * rng.standard_normal(p.size)
     for _ in range(3):
         x = rng.standard_normal(8)
-        res = transform_forward(t, p, x)
-        assert res.log_abs_det_jacobian == pytest.approx(
-            numeric_logdet(t, p, x), abs=1e-4)
+        _, logdet = forward(t, p, x)
+        assert logdet[0] == pytest.approx(numeric_logdet(t, p, x), abs=1e-4)
 
 
 def test_round_trip_with_random_conditioner():
@@ -78,9 +85,8 @@ def test_round_trip_with_random_conditioner():
     t, p = fresh_coupling(dim=6)
     p = p + rng.standard_normal(p.size)
     x = rng.standard_normal((20, 6))
-    for row in x:
-        z = transform_forward(t, p, row).output
-        assert_allclose(transform_inverse(t, p, z), row, atol=1e-8)
+    z, _ = forward(t, p, x)
+    assert_allclose(inverse(t, p, z), x, atol=1e-8)
 
 
 def test_log_scale_is_bounded():
@@ -88,8 +94,8 @@ def test_log_scale_is_bounded():
     t, p = fresh_coupling(dim=4, hidden=4)
     p = p + 50.0 * rng.standard_normal(p.size)
     x = 10.0 * rng.standard_normal(4)
-    res = transform_forward(t, p, x)
-    assert abs(res.log_abs_det_jacobian) <= 2.0 * 2 + 1e-12  # |B| * bound
+    _, logdet = forward(t, p, x)
+    assert abs(logdet[0]) <= 2.0 * 2 + 1e-12  # |B| * bound
 
 
 def test_partition_validation():

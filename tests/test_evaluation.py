@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from nestedflow.datasets import Dataset
 from nestedflow.evaluation import (
@@ -15,7 +15,6 @@ from nestedflow.evaluation import (
     mse_curve,
     save_curve_csv,
     save_report,
-    truncated_sample,
 )
 from nestedflow.flows import FlowModel, OffsetTransform, build_qr_flow
 from nestedflow.nested_dropout import identity_order, reversed_order
@@ -74,21 +73,6 @@ def test_mse_curve_full_rank_vanishes_for_invertible_models():
 def test_mse_curve_rejects_empty():
     with pytest.raises(ValueError):
         mse_curve(identity_model(), np.zeros((0, 3)), identity_order(3))
-
-
-def test_truncated_sample_zeroes_dropped_coordinates():
-    m = identity_model()
-    draw = truncated_sample(m, 1, identity_order(3), np.random.default_rng(1))
-    assert draw.shape == (3,)
-    assert draw[0] != 0.0
-    assert draw[1] == 0.0 and draw[2] == 0.0
-
-
-def test_truncated_sample_is_seeded():
-    m = identity_model()
-    a = truncated_sample(m, 2, identity_order(3), np.random.default_rng(2))
-    b = truncated_sample(m, 2, identity_order(3), np.random.default_rng(2))
-    assert_array_equal(a, b)
 
 
 def single_point_data():

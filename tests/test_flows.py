@@ -14,16 +14,22 @@ from nestedflow.flows import (
     QRLinearTransform,
     build_lu_flow,
     build_qr_flow,
-    flow_log_likelihood,
-    flow_sample,
-    standard_normal_logpdf,
-    transform_forward,
-    transform_inverse,
+    standard_normal_logpdf_rows,
 )
 
 
 def identity_model(dim=3):
     return FlowModel(dim, [OffsetTransform(dim)], np.zeros(dim))
+
+
+def forward(t, params, x):
+    """One transform applied to one point: its image and log-determinant."""
+    z, logdet = FlowModel(t.dim, [t], params).forward_batch(np.atleast_2d(x))
+    return z[0], float(np.atleast_1d(logdet)[0])
+
+
+def log_likelihood(m, x):
+    return float(m.log_likelihood_batch(np.atleast_2d(x))[0])
 
 
 def random_model(kind, dim, seed):
@@ -48,30 +54,32 @@ def perturb(model, seed, scale=0.5):
     (np.ones(3), -4.256815599614018),
 ])
 def test_standard_normal_logpdf(z, want):
-    assert standard_normal_logpdf(z) == pytest.approx(want, abs=1e-12)
+    rows = np.stack([z, z])
+    assert_allclose(standard_normal_logpdf_rows(rows), [want, want], atol=1e-12)
 
 
 def test_identity_parameters_give_identity_map():
     t = LULinearTransform(3, np.arange(3))
-    res = transform_forward(t, np.zeros(9), np.array([0.5, -1.0, 2.0]))
-    assert_allclose(res.output, [0.5, -1.0, 2.0], atol=1e-14)
-    assert res.log_abs_det_jacobian == 0.0
+    z, logdet = forward(t, np.zeros(9), np.array([0.5, -1.0, 2.0]))
+    assert_allclose(z, [0.5, -1.0, 2.0], atol=1e-14)
+    assert logdet == 0.0
 
     tq = QRLinearTransform(2, 1)
     p = np.concatenate([[1.0, 0.0], [0.0], [0.0, 0.0]])
-    res = transform_forward(tq, p, np.array([3.0, 4.0]))
+    z, logdet = forward(tq, p, np.array([3.0, 4.0]))
     # one reflection through e1: negates the first coordinate
-    assert_allclose(res.output, [-3.0, 4.0], atol=1e-14)
-    assert res.log_abs_det_jacobian == 0.0
+    assert_allclose(z, [-3.0, 4.0], atol=1e-14)
+    assert logdet == 0.0
 
 
 def test_scalar_scaling_transform():
     t = LULinearTransform(1, [0])
     p = np.array([np.log(2.0)])
-    res = transform_forward(t, p, np.array([3.0]))
-    assert_allclose(res.output, [6.0], atol=1e-12)
-    assert res.log_abs_det_jacobian == pytest.approx(np.log(2.0))
-    assert_allclose(transform_inverse(t, p, np.array([4.0])), [2.0], atol=1e-12)
+    z, logdet = forward(t, p, np.array([3.0]))
+    assert_allclose(z, [6.0], atol=1e-12)
+    assert logdet == pytest.approx(np.log(2.0))
+    back = FlowModel(1, [t], p).inverse_batch(np.array([[4.0]]))
+    assert_allclose(back, [[2.0]], atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["qr", "lu", "coupling"])
@@ -110,9 +118,8 @@ def test_composition_additivity():
     y = x
     for t in parts:
         n = sum(size for _, size in t.param_blocks)
-        res = [transform_forward(t, params[offset : offset + n], row) for row in y]
-        y = np.array([r.output for r in res])
-        ld_sum += res[0].log_abs_det_jacobian
+        y, ld = FlowModel(3, [t], params[offset : offset + n]).forward_batch(y)
+        ld_sum += ld
         offset += n
     assert float(ld_total) == pytest.approx(ld_sum, abs=1e-12)
 
@@ -120,20 +127,20 @@ def test_composition_additivity():
 def test_likelihood_invariant_under_latent_permutation():
     m = perturb(random_model("qr", 4, 21), 2)
     x = np.random.default_rng(3).standard_normal(4)
-    base = flow_log_likelihood(m, x)
+    base = log_likelihood(m, x)
     perm = LULinearTransform(4, [2, 0, 3, 1])
     permuted = FlowModel(4, m.transforms + [perm],
                          np.concatenate([m.params.values, np.zeros(16)]))
     # zero LU parameters leave only the permutation; |det| = 1
-    assert flow_log_likelihood(permuted, x) == pytest.approx(base, abs=1e-10)
+    assert log_likelihood(permuted, x) == pytest.approx(base, abs=1e-10)
 
 
 def test_flow_log_likelihood_examples():
-    assert flow_log_likelihood(identity_model(), np.zeros(3)) == \
+    assert log_likelihood(identity_model(), np.zeros(3)) == \
         pytest.approx(-2.756815599614018, abs=1e-12)
     t = LULinearTransform(1, [0])
     m = FlowModel(1, [t], np.array([np.log(2.0)]))
-    assert flow_log_likelihood(m, np.zeros(1)) == \
+    assert log_likelihood(m, np.zeros(1)) == \
         pytest.approx(-0.9189385332046727 + np.log(2.0), abs=1e-12)
 
 
@@ -143,15 +150,14 @@ def test_flow_sample_statistics():
     rng = np.random.default_rng(0)
     draws = m.sample_batch(200_000, rng)
     assert np.var(draws) == pytest.approx(0.25, abs=0.01)
-    single = flow_sample(m, np.random.default_rng(1))
-    assert single.shape == (1,)
+    assert m.sample_batch(1, np.random.default_rng(1)).shape == (1, 1)
 
 
 def test_offset_transform_centers():
     t = OffsetTransform(2)
-    res = transform_forward(t, np.array([1.0, -2.0]), np.array([0.0, 0.0]))
-    assert_allclose(res.output, [1.0, -2.0])
-    assert res.log_abs_det_jacobian == 0.0
+    z, logdet = forward(t, np.array([1.0, -2.0]), np.array([0.0, 0.0]))
+    assert_allclose(z, [1.0, -2.0])
+    assert logdet == 0.0
     m = build_qr_flow(2, np.random.default_rng(0), offset=True)
     assert m.transforms[0].kind == "offset"
 

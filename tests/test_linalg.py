@@ -1,36 +1,38 @@
+"""Dense linear algebra: random rotations, the Householder reflection and
+triangular solve that the linear flows apply to every row of a batch, and
+the covariance eigendecomposition of the PCA baseline."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nestedflow.linalg import (
-    LinalgError,
-    SingularMatrixError,
-    householder_apply,
-    householder_matrix,
-    householder_qr,
-    log_abs_det_triangular,
-    random_rotation,
-    symmetric_eigendecompose,
-    triangular_solve,
-)
+from nestedflow.autodiff import householder_rows, solve_triangular_rows
+from nestedflow.linalg import random_rotation
+from nestedflow.pca import pca_fit
+
+
+def reflect(v, x):
+    """The reflection through the hyperplane orthogonal to v, applied to x."""
+    return householder_rows(np.asarray(v, dtype=np.float64),
+                            np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
 
 
 def test_householder_reflects_its_vector():
     v = np.array([1.0, 2.0, -1.0])
-    assert_allclose(householder_apply(v, v), -v, atol=1e-12)
+    assert_allclose(reflect(v, v), -v, atol=1e-12)
 
 
 def test_householder_fixes_orthogonal_complement():
     v = np.array([1.0, 0.0, 0.0])
     x = np.array([0.0, 3.0, -2.0])
-    assert_allclose(householder_apply(v, x), x, atol=1e-14)
+    assert_allclose(reflect(v, x), x, atol=1e-14)
 
 
 def test_householder_zero_vector_rejected():
-    with pytest.raises(LinalgError):
-        householder_apply(np.zeros(3), np.ones(3))
+    with pytest.raises(ZeroDivisionError):
+        reflect(np.zeros(3), np.ones(3))
 
 
 @settings(max_examples=50, deadline=None)
@@ -41,15 +43,16 @@ def test_householder_involution_and_isometry(dim, seed):
     if np.sqrt(v @ v) < 1e-6:
         v[0] += 1.0
     x = rng.standard_normal(dim)
-    y = householder_apply(v, x)
-    assert_allclose(householder_apply(v, y), x, atol=1e-10)
+    y = reflect(v, x)
+    assert_allclose(reflect(v, y), x, atol=1e-10)
     assert np.dot(y, y) == pytest.approx(np.dot(x, x), rel=1e-12)
 
 
 def test_householder_matrix_orthogonal():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(5)
-    h = householder_matrix(v)
+    h = householder_rows(v, np.eye(5))  # rows of I reflected: the matrix
+    assert_allclose(h, h.T, atol=1e-15)
     assert_allclose(h @ h.T, np.eye(5), atol=1e-12)
     assert np.linalg.det(h) == pytest.approx(-1.0, abs=1e-10)
 
@@ -61,56 +64,33 @@ def test_triangular_solve_against_numpy(lower, dim):
     t = rng.standard_normal((dim, dim))
     t = np.tril(t) if lower else np.triu(t)
     t[np.arange(dim), np.arange(dim)] = 1.0 + rng.random(dim)
-    b = rng.standard_normal(dim)
-    x = triangular_solve(t, b, lower=lower)
-    assert_allclose(t @ x, b, atol=1e-10)
-    assert_allclose(x, np.linalg.solve(t, b), atol=1e-10)
-
-
-def test_triangular_solve_unit_diagonal_ignores_stored_diag():
-    t = np.array([[5.0, 0.0], [2.0, 7.0]])
-    x = triangular_solve(t, np.array([1.0, 4.0]), lower=True, unit_diag=True)
-    assert_allclose(x, [1.0, 2.0], atol=1e-14)
+    b = rng.standard_normal((4, dim))
+    y = solve_triangular_rows(b, t, lower=lower)  # y @ t = b, row by row
+    assert_allclose(y @ t, b, atol=1e-10)
+    assert_allclose(y, np.linalg.solve(t.T, b.T).T, atol=1e-10)
 
 
 def test_triangular_solve_singular_names_index():
     t = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 2.0]])
-    with pytest.raises(SingularMatrixError, match="index 1"):
-        triangular_solve(t, np.ones(3), lower=True)
-
-
-def test_log_abs_det_triangular():
-    t = np.diag([2.0, -3.0, 0.5])
-    assert log_abs_det_triangular(t) == pytest.approx(np.log(3.0), abs=1e-12)
+    with pytest.raises(ZeroDivisionError, match="index 1"):
+        solve_triangular_rows(np.ones((2, 3)), t, lower=True)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6, 16])
 def test_symmetric_eigendecompose_reconstructs(dim):
     rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim))
-    s = (a + a.T) / 2.0
-    w, v = symmetric_eigendecompose(s)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert_allclose(v @ np.diag(w) @ v.T, s, atol=1e-10)
+    x = rng.standard_normal((4 * dim, dim)) @ rng.standard_normal((dim, dim))
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / x.shape[0]
+    fit = pca_fit(x)
+    v, w = fit.components.T, fit.eigenvalues
+    assert np.all(np.diff(w) <= 0.0)
+    assert_allclose(v @ np.diag(w) @ v.T, cov, atol=1e-10)
     assert_allclose(v.T @ v, np.eye(dim), atol=1e-10)
-    assert_allclose(np.sort(w)[::-1], np.sort(np.linalg.eigvalsh(s))[::-1],
-                    atol=1e-10)
-
-
-def test_symmetric_eigendecompose_rejects_asymmetric():
-    with pytest.raises(LinalgError):
-        symmetric_eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("dim", [1, 3, 7])
-def test_householder_qr_factors(dim):
-    rng = np.random.default_rng(10 + dim)
-    a = rng.standard_normal((dim, dim))
-    q, r = householder_qr(a)
-    assert_allclose(q @ r, a, atol=1e-10)
-    assert_allclose(q.T @ q, np.eye(dim), atol=1e-10)
-    assert np.all(np.diag(r) >= 0.0)
-    assert_allclose(np.abs(np.triu(r)), np.abs(r), atol=1e-12)
+    assert_allclose(w, np.linalg.eigvalsh(cov)[::-1], atol=1e-10)
+    # sign convention: each eigenvector's largest-magnitude entry is positive
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(dim)]
+    assert np.all(top > 0.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 32])
@@ -119,6 +99,17 @@ def test_random_rotation_is_special_orthogonal(dim):
     q = random_rotation(dim, rng)
     assert_allclose(q @ q.T, np.eye(dim), atol=1e-10)
     assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7])
+def test_random_rotation_is_qr_factor_of_its_draw(dim):
+    a = np.random.default_rng(10 + dim).standard_normal((dim, dim))
+    q = random_rotation(dim, np.random.default_rng(10 + dim))
+    r = q.T @ a
+    assert_allclose(np.tril(r, k=-1), 0.0, atol=1e-12)
+    # R's diagonal is positive except where the last column was negated
+    # to make det(Q) = +1
+    assert np.all(np.diag(r)[:-1] > 0.0)
 
 
 def test_random_rotation_deterministic():

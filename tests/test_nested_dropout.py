@@ -4,27 +4,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nestedflow.autodiff import NonFiniteLossError
 from nestedflow.flows import FlowModel, OffsetTransform, build_lu_flow, build_qr_flow
 from nestedflow.coupling import build_multiscale_flow
 from nestedflow.nested_dropout import (
     GeometricSchedule,
     NestedDropoutConfig,
-    combined_loss,
     identity_order,
     keep_mask,
     loss_terms,
-    reconstruct,
-    reconstruction_error,
     reversed_order,
-    sample_k,
     sample_ks,
-    truncate,
 )
 
 
 def identity_model(dim=3):
     return FlowModel(dim, [OffsetTransform(dim)], np.zeros(dim))
+
+
+def truncate(z, k, order):
+    """One latent with every coordinate of ordering rank k or beyond zeroed,
+    by the mask the objective and the MSE curve apply."""
+    return z * keep_mask(k, order, z.size)[0]
+
+
+def recon_mean(m, x, ks, order=None):
+    """The objective's per-dimension reconstruction MSE at fixed ks."""
+    cfg = NestedDropoutConfig(lam=1.0, schedule=GeometricSchedule(p=0.5, K=m.dim),
+                              drop_order=order)
+    return float(loss_terms(m, np.atleast_2d(x), ks, cfg)[2])
 
 
 def test_schedule_validation():
@@ -45,7 +52,7 @@ def test_pmf_clamped_tail():
 def test_p_one_always_keeps_one_dimension():
     s = GeometricSchedule(p=1.0, K=5)
     rng = np.random.default_rng(0)
-    assert sample_k(s, rng) == 1
+    assert sample_ks(s, rng, 1).tolist() == [1]
     assert np.all(sample_ks(s, rng, 1000) == 1)
 
 
@@ -100,20 +107,20 @@ def test_reconstruct_full_rank_is_round_trip():
               build_multiscale_flow(8, 2, 2, rng, hidden_width=8)]
     for m in models:
         m.set_params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
-        x = rng.standard_normal(m.dim)
-        assert_allclose(reconstruct(m, x, m.dim, identity_order(m.dim)), x,
-                        atol=1e-8)
+        x = rng.standard_normal((5, m.dim))
+        assert recon_mean(m, x, np.full(5, m.dim)) < 1e-16
 
 
 def test_reconstruct_identity_flow():
+    # keeping coordinate 0 reconstructs (4, 0, 0): error (25 + 36) / 3
     m = identity_model()
-    out = reconstruct(m, np.array([4.0, 5.0, 6.0]), 1, identity_order(3))
-    assert_allclose(out, [4.0, 0.0, 0.0], atol=0)
+    x = np.array([4.0, 5.0, 6.0])
+    assert recon_mean(m, x, [1]) == 61.0 / 3.0
+    assert recon_mean(m, x, [1], reversed_order(3)) == 41.0 / 3.0
 
 
 def test_reconstruction_error_per_dimension():
-    assert reconstruction_error(np.array([1.0, 1.0, 1.0]),
-                                np.array([1.0, 0.0, 0.0])) == \
+    assert recon_mean(identity_model(), np.ones(3), [1]) == \
         pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
@@ -122,8 +129,9 @@ def test_combined_loss_forced_truncation_value():
     # -log p(x) = 4.256815599614018 and the dropped coordinates cost 2/3
     m = identity_model()
     cfg = NestedDropoutConfig(lam=1.0, schedule=GeometricSchedule(p=1.0, K=3))
-    value = combined_loss(m, np.ones((1, 3)), cfg, np.random.default_rng(0))
-    assert value == pytest.approx(4.923482266280685, abs=1e-12)
+    ks = sample_ks(cfg.schedule, np.random.default_rng(0), 1)
+    total, _, _ = loss_terms(m, np.ones((1, 3)), ks, cfg)
+    assert float(total) == pytest.approx(4.923482266280685, abs=1e-12)
 
 
 def test_combined_loss_lambda_zero_is_mean_nll():
@@ -131,7 +139,8 @@ def test_combined_loss_lambda_zero_is_mean_nll():
     m = build_qr_flow(3, rng)
     x = rng.standard_normal((50, 3))
     cfg = NestedDropoutConfig(lam=0.0, schedule=GeometricSchedule(p=0.33, K=3))
-    got = combined_loss(m, x, cfg, np.random.default_rng(0))
+    ks = sample_ks(cfg.schedule, np.random.default_rng(0), 50)
+    got = float(loss_terms(m, x, ks, cfg)[0])
     want = -float(np.mean(m.log_likelihood_batch(x)))
     assert got == want  # identical code path, not merely close
 
@@ -143,23 +152,6 @@ def test_combined_loss_all_k_max_matches_nll():
     cfg = NestedDropoutConfig(lam=7.0, schedule=GeometricSchedule(p=0.4, K=3))
     total, nll, _ = loss_terms(m, x, np.full(20, 3), cfg)
     assert float(total) == pytest.approx(float(nll), abs=1e-8)
-
-
-def test_combined_loss_names_bad_datapoint():
-    m = identity_model(2)
-    x = np.zeros((5, 2))
-    x[3, 0] = 1e200  # squares to overflow inside the base log-density
-    cfg = NestedDropoutConfig(lam=0.0, schedule=GeometricSchedule(p=0.5, K=2))
-    with np.errstate(over="ignore"), \
-            pytest.raises(NonFiniteLossError, match="datapoint index 3"):
-        combined_loss(m, x, cfg, np.random.default_rng(0))
-
-
-def test_combined_loss_rejects_empty_batch():
-    cfg = NestedDropoutConfig(lam=1.0, schedule=GeometricSchedule(p=0.5, K=2))
-    with pytest.raises(ValueError):
-        combined_loss(identity_model(2), np.zeros((0, 2)), cfg,
-                      np.random.default_rng(0))
 
 
 def test_config_validation():
