@@ -10,9 +10,12 @@ parameter gradients.  A layer may instead compute its whole map in numpy and
 register it as one fused node with a hand-written VJP through :func:`record`,
 as the affine coupling does.
 
-Every primitive accepts either plain numpy arrays or :class:`Var` nodes and
-dispatches accordingly, so the same model code serves both fast untracked
-evaluation and gradient evaluation.  One gradient evaluation is
+A :class:`Var` is a tape node.  Each primitive computes its value once and
+hands it to :func:`record` with one VJP per input; ``record`` returns a node
+only while this thread is recording and some input is a node, and the plain
+value otherwise.  So the same model code evaluates plain arrays without a
+tape (:func:`loss_value`, evaluation) and builds the tape under
+:func:`evaluate_with_gradient`.  One gradient evaluation is
 single-threaded.  The recording tape is per thread, so independent
 evaluations may run concurrently in separate threads; they must not share a
 model whose parameters another thread changes meanwhile.
@@ -20,6 +23,7 @@ model whose parameters another thread changes meanwhile.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -66,14 +70,20 @@ class Var:
         return f"Var(op={self.op!r}, shape={self.shape})"
 
 
-_LOCAL = threading.local()  # ``tape``: the active recording of this thread
+class _Local(threading.local):
+    # This thread's active recording; a class default, so a thread that
+    # never recorded reads None without raising and catching AttributeError.
+    tape = None
+
+
+_LOCAL = _Local()
 
 
 class _Recording:
     """Context manager activating a fresh tape for the calling thread."""
 
     def __enter__(self):
-        if getattr(_LOCAL, "tape", None) is not None:
+        if _LOCAL.tape is not None:
             raise RuntimeError("gradient evaluations cannot be nested")
         _LOCAL.tape = []
         return _LOCAL.tape
@@ -83,25 +93,28 @@ class _Recording:
         return False
 
 
-def _is_var(x) -> bool:
-    return isinstance(x, Var)
-
 def _val(x):
     return x.value if isinstance(x, Var) else x
 
 
 def record(value, parents, op):
-    """Create an output node, recording it when this thread has an active tape.
+    """Return ``value``, as a new tape node when it depends on one.
 
-    ``parents`` holds ``(input, vjp)`` pairs; pairs whose input is None (a
-    constant) are dropped.  ``vjp`` maps the gradient of the output to the
-    gradient of that input, with the input's shape.  Every primitive of this
-    module ends here; a fused layer calls it directly with its own VJPs.
+    ``parents`` holds ``(input, vjp)`` pairs; ``vjp`` maps the gradient of
+    the output to the gradient of that input, with the input's shape.  Pairs
+    whose input is not a :class:`Var` are constants and are dropped.  Only
+    when this thread is recording and some input is a node does the output
+    become a node on the tape; otherwise ``value`` comes back as it is.
+    Every primitive of this module ends here; a fused layer calls it
+    directly with its own VJPs.
     """
-    tape = getattr(_LOCAL, "tape", None)
+    tape = _LOCAL.tape
     if tape is None:
-        return Var(value, (), op)
-    node = Var(value, tuple(p for p in parents if p[0] is not None), op)
+        return value
+    parents = tuple(p for p in parents if isinstance(p[0], Var))
+    if not parents:
+        return value
+    node = Var(value, parents, op)
     tape.append(node)
     return node
 
@@ -120,90 +133,67 @@ def _unbroadcast(grad, shape):
 # -- arithmetic -------------------------------------------------------------
 
 def add(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.add(a, b)
     av, bv = _val(a), _val(b)
-    out = np.add(av, bv)
-    pa = (a, lambda g, s=np.shape(av): _unbroadcast(g, s)) if _is_var(a) else (None, None)
-    pb = (b, lambda g, s=np.shape(bv): _unbroadcast(g, s)) if _is_var(b) else (None, None)
-    return record(out, (pa, pb), "add")
+    return record(np.add(av, bv),
+                  ((a, lambda g: _unbroadcast(g, np.shape(av))),
+                   (b, lambda g: _unbroadcast(g, np.shape(bv)))), "add")
 
 
 def sub(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.subtract(a, b)
     av, bv = _val(a), _val(b)
-    out = np.subtract(av, bv)
-    pa = (a, lambda g, s=np.shape(av): _unbroadcast(g, s)) if _is_var(a) else (None, None)
-    pb = (b, lambda g, s=np.shape(bv): _unbroadcast(-g, s)) if _is_var(b) else (None, None)
-    return record(out, (pa, pb), "sub")
+    return record(np.subtract(av, bv),
+                  ((a, lambda g: _unbroadcast(g, np.shape(av))),
+                   (b, lambda g: _unbroadcast(-g, np.shape(bv)))), "sub")
 
 
 def mul(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.multiply(a, b)
     av, bv = _val(a), _val(b)
-    out = np.multiply(av, bv)
-    pa = (a, lambda g, o=bv, s=np.shape(av): _unbroadcast(g * o, s)) if _is_var(a) else (None, None)
-    pb = (b, lambda g, o=av, s=np.shape(bv): _unbroadcast(g * o, s)) if _is_var(b) else (None, None)
-    return record(out, (pa, pb), "mul")
+    return record(np.multiply(av, bv),
+                  ((a, lambda g: _unbroadcast(g * bv, np.shape(av))),
+                   (b, lambda g: _unbroadcast(g * av, np.shape(bv)))), "mul")
 
 
 def square(a):
-    if not _is_var(a):
-        return np.square(a)
-    av = a.value
+    av = _val(a)
     return record(np.square(av), ((a, lambda g: g * (2.0 * av)),), "square")
 
 
 def exp(a):
-    if not _is_var(a):
-        return np.exp(a)
-    out = np.exp(a.value)
+    out = np.exp(_val(a))
     return record(out, ((a, lambda g: g * out),), "exp")
 
 
 def vsum(a, axis=None):
     """Summation (optionally along one axis)."""
-    if not _is_var(a):
-        return np.sum(a, axis=axis)
-    av = a.value
-    out = np.sum(av, axis=axis)
+    av = _val(a)
 
-    def vjp(g, shape=np.shape(av), axis=axis):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+    def vjp(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, np.shape(av)).copy()
 
-    return record(out, ((a, vjp),), "sum")
+    return record(np.sum(av, axis=axis), ((a, vjp),), "sum")
 
 
 def matmul(a, b):
-    if not (_is_var(a) or _is_var(b)):
-        return np.matmul(a, b)
     av, bv = _val(a), _val(b)
-    out = np.matmul(av, bv)
-    pa = (a, lambda g, o=bv: np.matmul(g, o.T)) if _is_var(a) else (None, None)
-    pb = (b, lambda g, o=av: np.matmul(o.T, g)) if _is_var(b) else (None, None)
-    return record(out, (pa, pb), "matmul")
+    return record(np.matmul(av, bv),
+                  ((a, lambda g: np.matmul(g, bv.T)),
+                   (b, lambda g: np.matmul(av.T, g))), "matmul")
 
 
 def transpose(a):
-    if not _is_var(a):
-        return np.transpose(a)
-    return record(a.value.T, ((a, lambda g: np.transpose(g)),), "transpose")
+    return record(np.transpose(_val(a)), ((a, np.transpose),), "transpose")
 
 
 # -- structural ops ---------------------------------------------------------
 
 def slice_1d(a, start, stop):
     """Contiguous slice of a 1-D array (parameter block extraction)."""
-    if not _is_var(a):
-        return a[start:stop]
-    av = a.value
+    av = _val(a)
 
-    def vjp(g, n=av.shape[0], start=start, stop=stop):
-        out = np.zeros(n)
+    def vjp(g):
+        out = np.zeros(av.shape[0])
         out[start:stop] = g
         return out
 
@@ -212,18 +202,11 @@ def slice_1d(a, start, stop):
 
 def concat_1d(parts):
     """Concatenate 1-D pieces into one vector."""
-    if not any(_is_var(p) for p in parts):
-        return np.concatenate([np.atleast_1d(p) for p in parts])
     vals = [np.atleast_1d(_val(p)) for p in parts]
-    out = np.concatenate(vals)
-    offsets = np.cumsum([0] + [v.shape[0] for v in vals])
-    parents = []
-    for i, p in enumerate(parts):
-        if _is_var(p):
-            parents.append((p, lambda g, a=offsets[i], b=offsets[i + 1]: g[a:b]))
-        else:
-            parents.append((None, None))
-    return record(out, tuple(parents), "concat_1d")
+    offsets = [0, *itertools.accumulate(v.shape[0] for v in vals)]
+    return record(np.concatenate(vals),
+                  tuple((p, lambda g, a=offsets[i], b=offsets[i + 1]: g[a:b])
+                        for i, p in enumerate(parts)), "concat_1d")
 
 
 def gather_cols(x, idx):
@@ -235,12 +218,10 @@ def gather_cols(x, idx):
     """
     if not isinstance(idx, slice):
         idx = np.asarray(idx)
-    if not _is_var(x):
-        return x[:, idx]
-    xv = x.value
+    xv = _val(x)
 
-    def vjp(g, shape=xv.shape, idx=idx):
-        out = np.zeros(shape)
+    def vjp(g):
+        out = np.zeros(xv.shape)
         out[:, idx] = g
         return out
 
@@ -255,12 +236,8 @@ def matrix_from_entries(base, rows, cols, values):
     """
     rows = np.asarray(rows)
     cols = np.asarray(cols)
-    if not _is_var(values):
-        out = np.array(base)
-        out[rows, cols] = values
-        return out
     out = np.array(base)
-    out[rows, cols] = values.value
+    out[rows, cols] = _val(values)
     return record(out, ((values, lambda g: g[rows, cols]),), "matrix_from_entries")
 
 
@@ -268,31 +245,20 @@ def matrix_from_entries(base, rows, cols, values):
 
 def householder_rows(v, x):
     """Apply the reflection ``I - 2 v v^T/(v^T v)`` to every row of ``x``."""
-    vv_val = _val(v)
-    xv = _val(x)
-    s = float(vv_val @ vv_val)
+    vv, xv = _val(v), _val(x)
+    s = float(vv @ vv)
     if s == 0.0:
         raise ZeroDivisionError("Householder vector must be nonzero")
     c = 2.0 / s
-    u = xv @ vv_val
-    out = xv - np.outer(c * u, vv_val)
-    if not (_is_var(v) or _is_var(x)):
-        return out
+    u = xv @ vv
 
-    if _is_var(x):
-        px = (x, lambda g: g - np.outer(c * (g @ vv_val), vv_val))
-    else:
-        px = (None, None)
-    if _is_var(v):
+    def vjp_v(g):
+        gv = g @ vv
+        return (-c) * (xv.T @ gv + g.T @ u) + (2.0 * c / s) * float(u @ gv) * vv
 
-        def vjp_v(g):
-            gv = g @ vv_val
-            return (-c) * (xv.T @ gv + g.T @ u) + (2.0 * c / s) * float(u @ gv) * vv_val
-
-        pv = (v, vjp_v)
-    else:
-        pv = (None, None)
-    return record(out, (pv, px), "householder_rows")
+    return record(xv - np.outer(c * u, vv),
+                  ((v, vjp_v), (x, lambda g: g - np.outer(c * (g @ vv), vv))),
+                  "householder_rows")
 
 
 def solve_triangular_rows(b, t, lower):
@@ -314,27 +280,15 @@ def solve_triangular_rows(b, t, lower):
             if d == 0.0:
                 raise ZeroDivisionError(f"zero diagonal entry at index {j}")
             y[:, j] = (bv[:, j] - y[:, :j] @ tv[:j, j]) / d
-    if not (_is_var(b) or _is_var(t)):
-        return y
+    cache = []  # the backward solve, shared by both parents
 
-    def solve_back(g):
-        return solve_triangular_rows(g, tv.T, lower=not lower)
+    def bbar(g):
+        if not cache:
+            cache.append(solve_triangular_rows(g, tv.T, lower=not lower))
+        return cache[0]
 
-    if _is_var(b) and _is_var(t):
-        # Share the backward solve between both parents.
-        cache = {}
-
-        def bbar(g):
-            if "b" not in cache:
-                cache["b"] = solve_back(g)
-            return cache["b"]
-
-        parents = ((b, bbar), (t, lambda g: -(y.T @ bbar(g))))
-    elif _is_var(b):
-        parents = ((b, solve_back), (None, None))
-    else:
-        parents = ((None, None), (t, lambda g: -(y.T @ solve_back(g))))
-    return record(y, parents, "solve_triangular_rows")
+    return record(y, ((b, bbar), (t, lambda g: -(y.T @ bbar(g)))),
+                  "solve_triangular_rows")
 
 
 # -- parameters and gradient evaluation -------------------------------------
@@ -430,8 +384,6 @@ def evaluate_with_gradient(loss, theta: ParameterVector) -> GradientRecord:
                 op=op,
             )
         gradient = _backward(tape, out, leaf)
-    if gradient.shape != theta.values.shape:
-        gradient = np.broadcast_to(gradient, theta.values.shape).copy()
     if not np.all(np.isfinite(gradient)):
         bad = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise NonFiniteLossError(f"gradient is non-finite at parameter index {bad}")
@@ -439,25 +391,23 @@ def evaluate_with_gradient(loss, theta: ParameterVector) -> GradientRecord:
 
 
 def loss_value(loss, theta: ParameterVector) -> float:
-    """Evaluate the loss without recording a tape."""
-    out = loss(Var(np.asarray(theta.values, dtype=np.float64)))
-    return float(_val(out))
+    """Evaluate the loss on the plain parameter array, without a tape."""
+    return float(loss(np.asarray(theta.values, dtype=np.float64)))
 
 
-def finite_difference_gradient(loss, theta: ParameterVector, step: float = 1e-5,
-                               scale_step: bool = True) -> np.ndarray:
+def finite_difference_gradient(loss, theta: ParameterVector,
+                               step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient estimate, one coordinate at a time.
 
-    With ``scale_step`` the step is ``step * max(1, |theta_i|)`` per
-    coordinate, which keeps relative truncation error uniform across
-    parameter magnitudes.
+    The step is ``step * max(1, |theta_i|)`` per coordinate, which keeps
+    relative truncation error uniform across parameter magnitudes.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     base = np.array(theta.values, dtype=np.float64)
     grad = np.empty_like(base)
     for i in range(base.size):
-        h = step * max(1.0, abs(base[i])) if scale_step else step
+        h = step * max(1.0, abs(base[i]))
         bumped = base.copy()
         bumped[i] = base[i] + h
         up = loss_value(loss, theta.with_values(bumped))

@@ -40,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the config seed (for sweep: run "
+                            "only this seed)")
         p.add_argument("--output", default=None, help="run directory")
 
     p = sub.add_parser("generate", help="write the configured dataset to disk")
@@ -119,6 +120,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, SWEEP_SCHEMA)
+    if args.seed is not None:
+        cfg["seeds"] = [args.seed]
     out_dir = experiment.run_sweep(cfg, args.output)
     print(f"sweep directory: {out_dir}")
     print(f"aggregate table: {out_dir / 'aggregate.csv'}")

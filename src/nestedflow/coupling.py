@@ -90,9 +90,9 @@ class AffineCouplingTransform:
         ts = np.tanh(out[:, self._s_cols])
         return h1, h2, ts, np.multiply(ts, self.log_scale_bound), out[:, ts.shape[1]:]
 
-    def _conditioner_vjp(self, w, xa, h1, h2, ts, g_s, g_t, want_xa):
+    def _conditioner_vjp(self, w, xa, h1, h2, ts, g_s, g_t):
         """Back-propagate gradients of (s, t) through the conditioner: the
-        gradient of the coupling's parameter span, and of xa when wanted."""
+        gradients of the coupling's parameter span and of xa."""
         w1, b1, w2, b2, w3, b3 = w
         nb = ts.shape[1]
         g_out = np.empty((ts.shape[0], 2 * nb))  # row-major, unlike its parts
@@ -105,21 +105,20 @@ class AffineCouplingTransform:
             np.matmul(h1.T, g_pre2).ravel(), g_pre2.sum(axis=0),
             np.matmul(h2.T, g_out).ravel(), g_out.sum(axis=0),
         ])
-        return g_local, (np.matmul(g_pre1, w1.T) if want_xa else None)
+        return g_local, np.matmul(g_pre1, w1.T)
 
     def _fuse(self, p, span, x, out, op, backward):
         """Record ``out`` as one tape node over the parameter vector and the
-        input.  ``backward(g, want_x)`` returns the gradients of the
-        coupling's parameter span and of the input; it runs once per
-        backward pass and serves both parents."""
-        theta_var, x_var = isinstance(p.theta, ad.Var), isinstance(x, ad.Var)
+        input.  ``backward(g)`` returns the gradients of the coupling's
+        parameter span and of the input; it runs once per backward pass and
+        serves both parents."""
         start, stop = span
         n_theta = np.shape(ad._val(p.theta))[0]
         cache = []
 
         def both(g):
             if not cache:
-                cache.append(backward(g, x_var))
+                cache.append(backward(g))
             return cache[0]
 
         def vjp_theta(g):
@@ -127,8 +126,7 @@ class AffineCouplingTransform:
             full[start:stop] = both(g)[0]
             return full
 
-        return ad.record(out, ((p.theta if theta_var else None, vjp_theta),
-                               (x if x_var else None, lambda g: both(g)[1])), op)
+        return ad.record(out, ((p.theta, vjp_theta), (x, lambda g: both(g)[1])), op)
 
     def _assemble(self, keep, changed, extra=0):
         out = np.empty((keep.shape[0], self.dim + extra))
@@ -143,21 +141,15 @@ class AffineCouplingTransform:
         h1, h2, ts, s, t = self._conditioner(w, xa)
         es = np.exp(s)
         zb = np.add(np.multiply(xb, es), t)
-        logdet = np.sum(s, axis=1)
-        if not (isinstance(p.theta, ad.Var) or isinstance(x, ad.Var)):
-            return self._assemble(xa, zb), logdet
-        # One node carries [z | log-det]; two column views split it (views
-        # keep z row-major, as the untracked path returns it).
+        # One node carries [z | log-det]; two column views split it.
         joint = self._assemble(xa, zb, extra=1)
-        joint[:, self.dim] = logdet
+        joint[:, self.dim] = np.sum(s, axis=1)
 
-        def backward(g, want_x):
+        def backward(g):
             gz = g[:, : self.dim]
             gzb = gz[:, self.transformed_idx]
             g_s = g[:, self.dim][:, None] + np.multiply(np.multiply(gzb, xb), es)
-            g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb, want_x)
-            if not want_x:
-                return g_local, None
+            g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb)
             return g_local, self._assemble(gz[:, self.identity_idx] + g_xa,
                                            np.multiply(gzb, es))
 
@@ -172,16 +164,12 @@ class AffineCouplingTransform:
         d = np.subtract(zb, t)
         e = np.exp(np.multiply(s, -1.0))
         x = self._assemble(za, np.multiply(d, e))
-        if not (isinstance(p.theta, ad.Var) or isinstance(z, ad.Var)):
-            return x
 
-        def backward(g, want_z):
+        def backward(g):
             gxb = g[:, self.transformed_idx]
             g_d = np.multiply(gxb, e)
             g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
-            g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d, want_z)
-            if not want_z:
-                return g_local, None
+            g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d)
             return g_local, self._assemble(g[:, self.identity_idx] + g_za, g_d)
 
         return self._fuse(p, span, z, x, "coupling_inverse", backward)

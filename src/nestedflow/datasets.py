@@ -26,7 +26,8 @@ SPLIT_NAMES = ("train", "val", "test")
 
 
 class DatasetFormatError(ValueError):
-    """Unreadable dataset file; the message names the offending line."""
+    """Unreadable dataset file or sidecar; the message names the offending
+    line or split."""
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,15 @@ def load_dataset(path) -> Dataset:
         return Dataset(points=points, split={"train": (0, len(points))})
     with open(meta_path) as f:
         meta = json.load(f)
-    split = {name: tuple(rng) for name, rng in meta.get("splits", {}).items()}
+    splits = meta.get("splits", {}) if isinstance(meta, dict) else None
+    if not isinstance(splits, dict):
+        raise DatasetFormatError(
+            f"{meta_path}: the sidecar and its \"splits\" must be JSON objects")
+    for name, rng in splits.items():
+        if not (isinstance(rng, list) and len(rng) == 2
+                and all(type(i) is int for i in rng)):
+            raise DatasetFormatError(f"{meta_path}: split {name!r} must be a "
+                                     f"[start, stop] integer pair, got {rng!r}")
+    split = {name: tuple(rng) for name, rng in splits.items()}
     provenance = {k: meta.get(k) for k in ("generator", "seed", "parameters")}
     return Dataset(points=points, split=split, provenance=provenance)

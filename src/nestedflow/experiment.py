@@ -320,6 +320,12 @@ def worker_count() -> int:
         raise ValueError(f"NESTEDFLOW_THREADS must be an integer, got {raw!r}")
 
 
+def _dir_label(value) -> str:
+    """A grid value as it appears in a child directory name: list entries
+    joined with "-"."""
+    return "-".join(map(_dir_label, value)) if isinstance(value, list) else str(value)
+
+
 def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
     aggregate table and do not stop the sweep."""
@@ -339,7 +345,8 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
                 apply_override(cfg, k, v)
             cfg["seed"] = int(seed)
             cfg.pop("output_dir", None)
-            tag = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, values))
+            tag = "_".join(f"{k.split('.')[-1]}={_dir_label(v)}"
+                           for k, v in zip(keys, values))
             # Path separators in values would nest directories.
             name = f"{tag}_s{seed}".replace("/", "").replace("\\", "")
             params = dict(zip(keys, values))

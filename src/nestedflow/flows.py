@@ -3,9 +3,10 @@
 Transforms are pure structure: they describe parameter block layouts and how
 to apply/invert themselves given a view of the flat parameter vector.  The
 :class:`FlowModel` owns the actual parameter values.  The transforms here are
-written against the :mod:`nestedflow.autodiff` primitives, so the same code
-runs both untracked (plain numpy) and under gradient recording; the affine
-coupling instead records one fused node per application.
+written against the :mod:`nestedflow.autodiff` primitives and the affine
+coupling records one fused node per application; either way
+:func:`nestedflow.autodiff.record` decides what is taped, so one code path
+maps plain arrays and, under gradient evaluation, tape nodes.
 
 Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 ``z = W x`` become ``Z = X W^T`` on batches.

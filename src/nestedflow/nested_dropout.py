@@ -77,13 +77,10 @@ class NestedDropoutConfig:
     lam: float
     schedule: GeometricSchedule
     drop_order: np.ndarray | None = None
-    distance: str = "per-dim-mse"
 
     def __post_init__(self):
         if self.lam < 0.0:
             raise ValueError("lambda must be nonnegative")
-        if self.distance != "per-dim-mse":
-            raise ValueError(f"unsupported distance metric {self.distance!r}")
         order = identity_order(self.schedule.K) if self.drop_order is None \
             else as_order(self.drop_order, self.schedule.K)
         object.__setattr__(self, "drop_order", order)

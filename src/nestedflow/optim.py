@@ -36,9 +36,6 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
 
 
 def init_adam(n_params: int) -> AdamState:
@@ -52,11 +49,11 @@ def adam_step(state: AdamState, theta: np.ndarray, gradient: np.ndarray,
         raise TrainDivergenceError(
             f"non-finite gradient at optimizer step {state.step_count + 1}")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * gradient
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * gradient ** 2
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * gradient
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * gradient ** 2
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return theta, replace(state, first_moment=m, second_moment=v, step_count=t)
 
 

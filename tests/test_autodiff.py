@@ -13,6 +13,7 @@ from nestedflow.autodiff import (
     finite_difference_gradient,
     loss_value,
 )
+from test_acceptance import gradient_instance
 
 
 def params(values, name="all"):
@@ -153,11 +154,63 @@ def test_householder_rows_gradients():
 
 
 def test_loss_value_matches_gradient_evaluation():
+    """Plain evaluation and the taped one run the same arithmetic."""
     def loss(theta):
         return ad.vsum(ad.exp(theta))
 
-    theta = params([0.1, 0.2])
-    assert loss_value(loss, theta) == evaluate_with_gradient(loss, theta).value
+    cases = [(loss, params([0.1, 0.2]))]
+    cases += [gradient_instance(kind, seed)
+              for kind in ("qr-linear", "lu-linear", "coupling", "combined")
+              for seed in range(3)]
+    for loss, theta in cases:
+        assert loss_value(loss, theta) == evaluate_with_gradient(loss, theta).value
+
+
+def primitive_calls():
+    """Every primitive: its array inputs and a call taking them."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 3))
+    v = rng.standard_normal(3)
+    t = np.triu(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
+    return {
+        "add": ([m, v], ad.add),
+        "sub": ([m, v], ad.sub),
+        "mul": ([m, v], ad.mul),
+        "square": ([m], ad.square),
+        "exp": ([m], ad.exp),
+        "vsum": ([m], lambda a: ad.vsum(a, axis=1)),
+        "matmul": ([m, t], ad.matmul),
+        "transpose": ([m], ad.transpose),
+        "slice_1d": ([v], lambda a: ad.slice_1d(a, 1, 3)),
+        "concat_1d": ([v, v], lambda a, b: ad.concat_1d([a, b])),
+        "gather_cols": ([m], lambda a: ad.gather_cols(a, [2, 0])),
+        "matrix_from_entries": ([v], lambda a: ad.matrix_from_entries(
+            np.eye(3), [1, 2, 2], [0, 0, 1], a)),
+        "householder_rows": ([v, m], ad.householder_rows),
+        "solve_triangular_rows": ([m, t], lambda b, tri: ad.solve_triangular_rows(
+            b, tri, lower=False)),
+    }
+
+
+PRIMITIVES = primitive_calls()
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_on_nodes_without_recording_returns_plain_value(name):
+    inputs, call = PRIMITIVES[name]
+    out = call(*[ad.Var(x) for x in inputs])
+    assert isinstance(out, (np.ndarray, np.floating))
+    assert np.array_equal(out, call(*inputs))
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_primitive_records_only_when_an_input_is_a_node(name):
+    inputs, call = PRIMITIVES[name]
+    with ad._Recording() as tape:
+        out = call(*inputs)
+        assert tape == [] and isinstance(out, (np.ndarray, np.floating))
+        node = call(*[ad.Var(x) for x in inputs])
+        assert tape == [node] and len(node.parents) == len(inputs)
 
 
 def test_nonfinite_loss_names_first_bad_op():

@@ -115,6 +115,29 @@ def test_train_on_stored_dataset(tmp_path):
     assert not (out / "dataset.csv").exists()
 
 
+@pytest.mark.parametrize("splits", [
+    {"train": "ab"}, {"train": [0.5, 10]}, {"train": 5}, {"train": [0, 10, 20]},
+    [[0, 10]],
+], ids=["string", "float-bound", "number", "triple", "splits-not-object"])
+def test_train_on_malformed_sidecar_splits_exits_one(tmp_path, capsys, splits):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    meta_path = data_dir / "dataset.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["splits"] = splits
+    meta_path.write_text(json.dumps(meta))
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(data_dir / "dataset.csv")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "dataset.csv.meta.json" in err
+
+
 def test_eval_pca_baseline(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)
@@ -323,6 +346,22 @@ def test_sweep_aggregates_runs_and_records_failures(tmp_path, capsys):
             assert "TrainDivergenceError" in r[6]
 
 
+def test_sweep_seed_flag_replaces_seeds(tmp_path):
+    base = write_config(tmp_path / "base.json", seed=3)
+    sweep = {"base": base, "grid": {"train.iterations": [1]}, "seeds": [0, 1]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "5",
+                 "--output", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == \
+        ["iterations=1_s5"]
+    lines = (out / "aggregate.csv").read_text().splitlines()
+    assert len(lines) == 2
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["seed"] == "5" and row["status"] == "ok"
+
+
 def test_sweep_rejects_colliding_child_names(tmp_path, capsys):
     base = json.loads(json.dumps(write_config(tmp_path / "base.json")))
     base["nd"] = {"lambda": 0.0, "p": 0.5}
@@ -349,6 +388,16 @@ def test_sweep_child_names_drop_path_separators(tmp_path):
     run_dir = Path(lines[1].split(",")[-1])
     assert run_dir.parent == out
     assert "/" not in run_dir.name and "failed" in lines[1]
+    # list values are joined with "-"
+    base["train"]["iterations"] = 1
+    base["nd"] = {"lambda": 1.0, "p": 0.5}
+    sweep = {"base": base, "grid": {"nd.order": [[0, 2, 1], [2, 1, 0]]},
+             "seeds": [0]}
+    out = run_sweep(sweep, tmp_path / "orders")
+    rows = [line.split(",") for line in
+            (out / "aggregate.csv").read_text().splitlines()[1:]]
+    assert [Path(r[-1]).name for r in rows] == ["order=0-2-1_s0", "order=2-1-0_s0"]
+    assert all((out / Path(r[-1]).name / "report.json").exists() for r in rows)
 
 
 def test_sweep_worker_env(tmp_path, monkeypatch):

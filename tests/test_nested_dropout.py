@@ -160,8 +160,6 @@ def test_config_validation():
         NestedDropoutConfig(lam=-1.0, schedule=s)
     with pytest.raises(ValueError):
         NestedDropoutConfig(lam=1.0, schedule=s, drop_order=[0, 0, 2])
-    with pytest.raises(ValueError):
-        NestedDropoutConfig(lam=1.0, schedule=s, distance="euclidean")
     cfg = NestedDropoutConfig(lam=1.0, schedule=s)
     assert cfg.drop_order.tolist() == [0, 1, 2]
 
