@@ -1,14 +1,13 @@
 """Reverse-mode automatic differentiation over batched numpy arrays.
 
 A small tape machine: model code builds scalar losses out of the primitive
-functions in this module (``add``/``sub``/``mul``/``square``/``exp``,
-``vsum``/``matmul``/``transpose``, the structural ``slice_1d``,
-``concat_1d``, ``gather_cols`` and ``matrix_from_entries``, and the flow
-primitives ``householder_rows`` and ``solve_triangular_rows``), and
+functions in this module (``add``/``sub``/``mul``/``square``, ``vsum``, and
+the structural ``slice_1d`` and ``gather_cols``), and
 :func:`evaluate_with_gradient` replays the tape backwards to accumulate exact
-parameter gradients.  A layer may instead compute its whole map in numpy and
-register it as one fused node with a hand-written VJP through :func:`record`,
-as the affine coupling does.
+parameter gradients.  A layer computes its whole map in numpy and
+registers it as one fused node with a hand-written VJP through
+:func:`record`, as the affine coupling and the QR/LU linear layers do; the
+primitives compose those nodes with the loss.
 
 A :class:`Var` is a tape node.  Each primitive computes its value once and
 hands it to :func:`record` with one VJP per input; ``record`` returns a node
@@ -23,7 +22,6 @@ model whose parameters another thread changes meanwhile.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -158,11 +156,6 @@ def square(a):
     return record(np.square(av), ((a, lambda g: g * (2.0 * av)),), "square")
 
 
-def exp(a):
-    out = np.exp(_val(a))
-    return record(out, ((a, lambda g: g * out),), "exp")
-
-
 def vsum(a, axis=None):
     """Summation (optionally along one axis)."""
     av = _val(a)
@@ -173,17 +166,6 @@ def vsum(a, axis=None):
         return np.broadcast_to(g, np.shape(av)).copy()
 
     return record(np.sum(av, axis=axis), ((a, vjp),), "sum")
-
-
-def matmul(a, b):
-    av, bv = _val(a), _val(b)
-    return record(np.matmul(av, bv),
-                  ((a, lambda g: np.matmul(g, bv.T)),
-                   (b, lambda g: np.matmul(av.T, g))), "matmul")
-
-
-def transpose(a):
-    return record(np.transpose(_val(a)), ((a, np.transpose),), "transpose")
 
 
 # -- structural ops ---------------------------------------------------------
@@ -198,15 +180,6 @@ def slice_1d(a, start, stop):
         return out
 
     return record(av[start:stop], ((a, vjp),), "slice_1d")
-
-
-def concat_1d(parts):
-    """Concatenate 1-D pieces into one vector."""
-    vals = [np.atleast_1d(_val(p)) for p in parts]
-    offsets = [0, *itertools.accumulate(v.shape[0] for v in vals)]
-    return record(np.concatenate(vals),
-                  tuple((p, lambda g, a=offsets[i], b=offsets[i + 1]: g[a:b])
-                        for i, p in enumerate(parts)), "concat_1d")
 
 
 def gather_cols(x, idx):
@@ -226,69 +199,6 @@ def gather_cols(x, idx):
         return out
 
     return record(xv[:, idx], ((x, vjp),), "gather_cols")
-
-
-def matrix_from_entries(base, rows, cols, values):
-    """Copy of ``base`` with ``values`` written at ``(rows, cols)``.
-
-    ``base`` is a constant array (zeros, identity); the positions must be
-    distinct.  Used to assemble triangular factors from parameter blocks.
-    """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = np.array(base)
-    out[rows, cols] = _val(values)
-    return record(out, ((values, lambda g: g[rows, cols]),), "matrix_from_entries")
-
-
-# -- flow primitives --------------------------------------------------------
-
-def householder_rows(v, x):
-    """Apply the reflection ``I - 2 v v^T/(v^T v)`` to every row of ``x``."""
-    vv, xv = _val(v), _val(x)
-    s = float(vv @ vv)
-    if s == 0.0:
-        raise ZeroDivisionError("Householder vector must be nonzero")
-    c = 2.0 / s
-    u = xv @ vv
-
-    def vjp_v(g):
-        gv = g @ vv
-        return (-c) * (xv.T @ gv + g.T @ u) + (2.0 * c / s) * float(u @ gv) * vv
-
-    return record(xv - np.outer(c * u, vv),
-                  ((v, vjp_v), (x, lambda g: g - np.outer(c * (g @ vv), vv))),
-                  "householder_rows")
-
-
-def solve_triangular_rows(b, t, lower):
-    """Solve ``Y @ T = B`` row-wise for triangular ``T`` (each row of B is an
-    independent right-hand side against ``T`` acting on the right)."""
-    tv = _val(t)
-    bv = _val(b)
-    n = tv.shape[0]
-    y = np.empty_like(bv)
-    if lower:
-        for j in range(n - 1, -1, -1):
-            d = tv[j, j]
-            if d == 0.0:
-                raise ZeroDivisionError(f"zero diagonal entry at index {j}")
-            y[:, j] = (bv[:, j] - y[:, j + 1 :] @ tv[j + 1 :, j]) / d
-    else:
-        for j in range(n):
-            d = tv[j, j]
-            if d == 0.0:
-                raise ZeroDivisionError(f"zero diagonal entry at index {j}")
-            y[:, j] = (bv[:, j] - y[:, :j] @ tv[:j, j]) / d
-    cache = []  # the backward solve, shared by both parents
-
-    def bbar(g):
-        if not cache:
-            cache.append(solve_triangular_rows(g, tv.T, lower=not lower))
-        return cache[0]
-
-    return record(y, ((b, bbar), (t, lambda g: -(y.T @ bbar(g)))),
-                  "solve_triangular_rows")
 
 
 # -- parameters and gradient evaluation -------------------------------------

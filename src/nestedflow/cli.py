@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage/config/I-O error, 2 numerical failure: any
 ``ArithmeticError``, the base of the package's own numerical errors
 (non-finite loss, training divergence, non-finite flow output) and of the
-``ZeroDivisionError`` a singular triangular factor raises.
+``ZeroDivisionError`` a QR/LU layer raises on a zero Householder vector
+or, when inverting, on a zero diagonal entry of its triangular factor or a
+matrix that is singular in floating point.
 """
 
 from __future__ import annotations

@@ -69,14 +69,11 @@ class AffineCouplingTransform:
         ])
 
     def _weights(self, p):
-        """The coupling's half-open range in the flat parameter vector and
-        numpy views of its six blocks in the conditioner's shapes."""
+        """Numpy views of the six blocks in the conditioner's shapes."""
         na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
         shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
-        flat = ad._val(p.theta)
-        blocks = [flat[slice(*p.ranges[name])].reshape(shape)
-                  for (name, _), shape in zip(self.param_blocks, shapes)]
-        return (p.ranges["w1"][0], p.ranges["b3"][1]), blocks
+        return [p.array(name).reshape(shape)
+                for (name, _), shape in zip(self.param_blocks, shapes)]
 
     def _conditioner(self, w, xa):
         """Hidden activations, tanh(s_raw), log-scale s and shift t."""
@@ -107,27 +104,6 @@ class AffineCouplingTransform:
         ])
         return g_local, np.matmul(g_pre1, w1.T)
 
-    def _fuse(self, p, span, x, out, op, backward):
-        """Record ``out`` as one tape node over the parameter vector and the
-        input.  ``backward(g)`` returns the gradients of the coupling's
-        parameter span and of the input; it runs once per backward pass and
-        serves both parents."""
-        start, stop = span
-        n_theta = np.shape(ad._val(p.theta))[0]
-        cache = []
-
-        def both(g):
-            if not cache:
-                cache.append(backward(g))
-            return cache[0]
-
-        def vjp_theta(g):
-            full = np.zeros(n_theta)
-            full[start:stop] = both(g)[0]
-            return full
-
-        return ad.record(out, ((p.theta, vjp_theta), (x, lambda g: both(g)[1])), op)
-
     def _assemble(self, keep, changed, extra=0):
         out = np.empty((keep.shape[0], self.dim + extra))
         out[:, self.identity_idx] = keep
@@ -135,7 +111,7 @@ class AffineCouplingTransform:
         return out
 
     def forward(self, p, x):
-        span, w = self._weights(p)
+        w = self._weights(p)
         xv = ad._val(x)
         xa, xb = xv[:, self.identity_idx], xv[:, self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, xa)
@@ -153,11 +129,11 @@ class AffineCouplingTransform:
             return g_local, self._assemble(gz[:, self.identity_idx] + g_xa,
                                            np.multiply(gzb, es))
 
-        node = self._fuse(p, span, x, joint, "coupling_forward", backward)
+        node = p.fuse(x, joint, "coupling_forward", backward)
         return ad.gather_cols(node, slice(0, self.dim)), ad.gather_cols(node, self.dim)
 
     def inverse(self, p, z):
-        span, w = self._weights(p)
+        w = self._weights(p)
         zv = ad._val(z)
         za, zb = zv[:, self.identity_idx], zv[:, self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, za)
@@ -172,7 +148,7 @@ class AffineCouplingTransform:
             g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d)
             return g_local, self._assemble(g[:, self.identity_idx] + g_za, g_d)
 
-        return self._fuse(p, span, z, x, "coupling_inverse", backward)
+        return p.fuse(z, x, "coupling_inverse", backward)
 
     def config(self):
         return {

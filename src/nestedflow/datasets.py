@@ -169,7 +169,10 @@ def load_dataset(path) -> Dataset:
         warnings.warn(f"no sidecar {meta_path.name}; loading with empty provenance")
         return Dataset(points=points, split={"train": (0, len(points))})
     with open(meta_path) as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise DatasetFormatError(f"{meta_path}: not valid JSON ({e})") from None
     splits = meta.get("splits", {}) if isinstance(meta, dict) else None
     if not isinstance(splits, dict):
         raise DatasetFormatError(

@@ -11,6 +11,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import os
@@ -380,10 +381,11 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
     columns = keys + ["seed", "status", "test_ll_nats", "mse_1", "mse_2",
                       "error", "run_dir"]
-    with open(out_dir / "aggregate.csv", "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+    with open(out_dir / "aggregate.csv", "w", newline="") as f:
+        # csv quotes cells holding commas, such as list or object grid values
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
     return out_dir
 
 

@@ -2,9 +2,11 @@
 
 Transforms are pure structure: they describe parameter block layouts and how
 to apply/invert themselves given a view of the flat parameter vector.  The
-:class:`FlowModel` owns the actual parameter values.  The transforms here are
-written against the :mod:`nestedflow.autodiff` primitives and the affine
-coupling records one fused node per application; either way
+:class:`FlowModel` owns the actual parameter values.  The QR and LU linear
+layers build their D×D matrix from its factors and apply it to the batch
+with one matmul; they and the affine coupling compute in numpy and register
+each application as one fused node through :meth:`BlockView.fuse`, while
+the offset is written in :mod:`nestedflow.autodiff` primitives.  Either way
 :func:`nestedflow.autodiff.record` decides what is taped, so one code path
 maps plain arrays and, under gradient evaluation, tape nodes.
 
@@ -43,14 +45,113 @@ class BlockView:
         start, stop = self.ranges[name]
         return ad.slice_1d(self.theta, start, stop)
 
+    @property
+    def span(self):
+        """Half-open range of all the transform's blocks, which lie
+        contiguously in ``ranges`` order."""
+        ranges = list(self.ranges.values())
+        return ranges[0][0], ranges[-1][1]
 
-class LULinearTransform:
+    def array(self, name) -> np.ndarray:
+        """The block's values as a plain array, never a tape node."""
+        start, stop = self.ranges[name]
+        return ad._val(self.theta)[start:stop]
+
+    def fuse(self, x, out, op, backward):
+        """Record ``out`` as one tape node over the parameter vector and the
+        input ``x`` (a constant ``x``, such as None, is no parent).
+
+        ``backward(g)`` returns the gradients of the transform's parameter
+        :attr:`span` and of ``x``; it runs once per backward pass and serves
+        both parents.
+        """
+        start, stop = self.span
+        n_theta = np.shape(ad._val(self.theta))[0]
+        cache = []
+
+        def both(g):
+            if not cache:
+                cache.append(backward(g))
+            return cache[0]
+
+        def vjp_theta(g):
+            full = np.zeros(n_theta)
+            full[start:stop] = both(g)[0]
+            return full
+
+        return ad.record(out, ((self.theta, vjp_theta), (x, lambda g: both(g)[1])), op)
+
+
+class _LinearTransform:
+    """A linear map ``z = x @ A`` whose D×D matrix ``A`` is built from
+    factors, among them an upper triangular matrix with free strictly-upper
+    entries (block ``upper_offdiag``) and ``diag = exp(s)`` (block
+    ``upper_logdiag``), so ``log|det| = sum(s)``.
+
+    Subclasses define ``_map(p) -> (A, diag, vjp)``, where ``vjp`` turns
+    ``dL/dA`` into the gradient of the layer's parameter span.  Forward and
+    inverse each apply ``A`` or ``A^-1`` to the batch with one matmul and,
+    under gradient recording, become one tape node; the log-determinant is
+    one more.
+    """
+
+    def _upper(self, p: BlockView):
+        """The upper triangular factor and its diagonal ``exp(s)``."""
+        diag = np.exp(p.array("upper_logdiag"))
+        u = np.diag(diag)
+        u[self._up] = p.array("upper_offdiag")
+        return u, diag
+
+    def _upper_grad(self, gu, diag):
+        """Gradients of the upper_offdiag and upper_logdiag blocks."""
+        return [gu[self._up], np.diagonal(gu) * diag]
+
+    def forward(self, p: BlockView, x):
+        a, _, vjp = self._map(p)
+        xv = ad._val(x)
+        z = p.fuse(x, np.matmul(xv, a), f"{self.kind}_forward",
+                   lambda g: (vjp(np.matmul(xv.T, g)), np.matmul(g, a.T)))
+        return z, self._logdet(p)
+
+    def _logdet(self, p: BlockView):
+        start, stop = p.span
+        lo, hi = p.ranges["upper_logdiag"]
+
+        def backward(g):
+            out = np.zeros(stop - start)
+            out[lo - start : hi - start] = g
+            return out, None
+
+        return p.fuse(None, np.sum(p.array("upper_logdiag")), f"{self.kind}_logdet",
+                      backward)
+
+    def inverse(self, p: BlockView, z):
+        a, diag, vjp = self._map(p)
+        zero = np.flatnonzero(diag == 0.0)
+        if zero.size:
+            raise ZeroDivisionError(f"zero diagonal entry at index {zero[0]}")
+        try:
+            b = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # a pivot underflowed to 0: numerical
+            raise ZeroDivisionError(f"singular {self.kind} matrix") from None
+        zv = ad._val(z)
+
+        def backward(g):
+            # x = z @ B with B = A^-1, and dB = -B dA B.
+            ga = -np.matmul(np.matmul(b.T, np.matmul(zv.T, g)), b.T)
+            return vjp(ga), np.matmul(g, b.T)
+
+        return p.fuse(z, np.matmul(zv, b), f"{self.kind}_inverse", backward)
+
+
+class LULinearTransform(_LinearTransform):
     """Invertible linear map ``z = P L U x``.
 
     ``P`` is a fixed (never trained) permutation; ``L`` is unit-lower
     triangular with free strictly-lower entries; ``U`` is upper triangular
     with free strictly-upper entries and ``diag(U) = exp(s)``, so the map is
-    invertible for every parameter value and ``log|det| = sum(s)``.
+    invertible for every parameter value and ``log|det| = sum(s)``.  On
+    row batches ``A = (U^T L^T)[:, P^-1]``.
     """
 
     kind = "lu_linear"
@@ -63,7 +164,6 @@ class LULinearTransform:
         self._inv_permutation = np.argsort(self.permutation)
         self._low = np.tril_indices(dim, k=-1)
         self._up = np.triu_indices(dim, k=1)
-        self._diag = np.arange(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [
             ("lower", n_off),
@@ -75,26 +175,18 @@ class LULinearTransform:
         n = sum(size for _, size in self.param_blocks)
         return 1e-2 * rng.standard_normal(n)
 
-    def _factors(self, p: BlockView):
-        d = self.dim
-        lower = ad.matrix_from_entries(np.eye(d), self._low[0], self._low[1], p["lower"])
-        entries = ad.concat_1d([p["upper_offdiag"], ad.exp(p["upper_logdiag"])])
-        rows = np.concatenate([self._up[0], self._diag])
-        cols = np.concatenate([self._up[1], self._diag])
-        upper = ad.matrix_from_entries(np.zeros((d, d)), rows, cols, entries)
-        return lower, upper
+    def _map(self, p: BlockView):
+        lower = np.eye(self.dim)
+        lower[self._low] = p.array("lower")
+        upper, diag = self._upper(p)
+        a = np.matmul(upper.T, lower.T)[:, self._inv_permutation]
 
-    def forward(self, p: BlockView, x):
-        lower, upper = self._factors(p)
-        y = ad.matmul(ad.matmul(x, ad.transpose(upper)), ad.transpose(lower))
-        z = ad.gather_cols(y, self._inv_permutation)
-        return z, ad.vsum(p["upper_logdiag"])
+        def vjp(ga):
+            gc = ga[:, self.permutation]  # undo the column permutation
+            return np.concatenate([np.matmul(gc.T, upper.T)[self._low],
+                                   *self._upper_grad(np.matmul(lower.T, gc.T), diag)])
 
-    def inverse(self, p: BlockView, z):
-        lower, upper = self._factors(p)
-        y = ad.gather_cols(z, self.permutation)
-        w = ad.solve_triangular_rows(y, ad.transpose(lower), lower=False)
-        return ad.solve_triangular_rows(w, ad.transpose(upper), lower=True)
+        return a, diag, vjp
 
     def config(self):
         return {"dim": self.dim, "permutation": self.permutation.tolist()}
@@ -104,13 +196,14 @@ class LULinearTransform:
         return cls(cfg["dim"], cfg["permutation"])
 
 
-class QRLinearTransform:
+class QRLinearTransform(_LinearTransform):
     """Invertible linear map ``z = Q R x``.
 
     ``Q`` is the product of Householder reflections given by free vectors
     ``v_0 .. v_{H-1}`` (applied ``v_0`` first); ``R`` is upper triangular with
     ``diag(R) = exp(s)``.  ``log|det| = sum(s)`` since reflections have unit
-    absolute determinant.
+    absolute determinant.  On row batches ``A = R^T H_0 .. H_{H-1}``: the
+    reflections act on the D×D matrix, not on the batch.
     """
 
     kind = "qr_linear"
@@ -121,7 +214,6 @@ class QRLinearTransform:
         if self.n_householder < 1:
             raise ValueError("need at least one Householder vector")
         self._up = np.triu_indices(dim, k=1)
-        self._diag = np.arange(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [(f"v{h}", dim) for h in range(self.n_householder)]
         self.param_blocks += [("upper_offdiag", n_off), ("upper_logdiag", dim)]
@@ -136,26 +228,29 @@ class QRLinearTransform:
         parts.append(1e-2 * rng.standard_normal(self.dim))
         return np.concatenate(parts)
 
-    def _upper(self, p: BlockView):
-        d = self.dim
-        entries = ad.concat_1d([p["upper_offdiag"], ad.exp(p["upper_logdiag"])])
-        rows = np.concatenate([self._up[0], self._diag])
-        cols = np.concatenate([self._up[1], self._diag])
-        return ad.matrix_from_entries(np.zeros((d, d)), rows, cols, entries)
-
-    def forward(self, p: BlockView, x):
-        r = self._upper(p)
-        y = ad.matmul(x, ad.transpose(r))
+    def _map(self, p: BlockView):
+        upper, diag = self._upper(p)
+        a = upper.T
+        steps = []  # (v, v.v, the matrix m that v reflects, m @ v)
         for h in range(self.n_householder):
-            y = ad.householder_rows(p[f"v{h}"], y)
-        return y, ad.vsum(p["upper_logdiag"])
+            v = p.array(f"v{h}")
+            s = float(v @ v)
+            if s == 0.0:
+                raise ZeroDivisionError("Householder vector must be nonzero")
+            u = a @ v
+            steps.append((v, s, a, u))
+            a = a - ((2.0 / s) * u)[:, None] * v
 
-    def inverse(self, p: BlockView, z):
-        y = z
-        for h in range(self.n_householder - 1, -1, -1):
-            y = ad.householder_rows(p[f"v{h}"], y)
-        r = self._upper(p)
-        return ad.solve_triangular_rows(y, ad.transpose(r), lower=True)
+        def vjp(ga):
+            g_vs = []
+            for v, s, m, u in reversed(steps):
+                c = 2.0 / s
+                gv = ga @ v
+                g_vs.append((-c) * (m.T @ gv + ga.T @ u) + (2.0 * c / s) * float(u @ gv) * v)
+                ga = ga - (c * gv)[:, None] * v
+            return np.concatenate([*reversed(g_vs), *self._upper_grad(ga.T, diag)])
+
+        return a, diag, vjp
 
     def config(self):
         return {"dim": self.dim, "n_householder": self.n_householder}

@@ -13,6 +13,7 @@ from nestedflow.autodiff import (
     finite_difference_gradient,
     loss_value,
 )
+from nestedflow.flows import BlockView, LULinearTransform, QRLinearTransform
 from test_acceptance import gradient_instance
 
 
@@ -42,7 +43,7 @@ def test_gradient_linearity():
         return ad.vsum(ad.square(t))
 
     def g(t):
-        return ad.vsum(ad.mul(ad.exp(t), 0.1))
+        return ad.vsum(ad.mul(ad.mul(ad.square(t), t), 0.1))
 
     def combo(t):
         return ad.add(ad.mul(f(t), 2.0), ad.mul(g(t), -3.0))
@@ -53,32 +54,37 @@ def test_gradient_linearity():
     assert_allclose(gc, 2.0 * gf - 3.0 * gg, rtol=1e-12)
 
 
+def layer_view(t, n_extra):
+    """A view of transform t's blocks at the front of a flat vector that
+    has n_extra more entries after them."""
+    ranges, offset = {}, 0
+    for name, size in t.param_blocks:
+        ranges[name] = (offset, offset + size)
+        offset += size
+    return ranges, offset, offset + n_extra
+
+
 def scalar_losses():
     rng = np.random.default_rng(42)
     a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 3))
     w = rng.standard_normal(4)
 
-    def rows_of(v):
-        """A 12-vector laid out as a 3x4 matrix, row by row."""
-        rows, cols = np.divmod(np.arange(12), 4)
-        return ad.matrix_from_entries(np.zeros((3, 4)), rows, cols, v)
+    def rows_of(t, signs=(1.0, 1.0, 1.0)):
+        """A 3x4 matrix whose rows are the 4-vector t times each sign."""
+        return ad.mul(np.array(signs)[:, None], t)
 
     def arithmetic(t):
         x = ad.add(ad.mul(t, 2.0), ad.sub(t, ad.square(t)))
         return ad.vsum(ad.mul(x, x))
 
-    def transcendental(t):
-        return ad.vsum(ad.add(ad.exp(ad.mul(t, 0.3)),
-                              ad.mul(ad.exp(t), ad.square(t))))
-
     def matrix(t):
-        m = rows_of(ad.concat_1d([t, t, t]))
-        y = ad.matmul(ad.matmul(m, b), ad.transpose(ad.matmul(m, b)))
+        # (3, 4) against a (3, 1) column: gradients reduce over size-1 axes
+        m = ad.sub(rows_of(t, (1.0, -2.0, 0.5)), a)
+        y = ad.mul(m, ad.gather_cols(m, slice(1, 2)))
         return ad.vsum(ad.square(y))
 
     def gather(t):
-        m = rows_of(ad.concat_1d([t, ad.mul(t, -1.0), t]))
+        m = rows_of(t, (1.0, -1.0, 1.0))
         cols = ad.gather_cols(m, np.array([2, 0, 3, 1]))
         one = ad.gather_cols(m, 1)  # a scalar index selects a 1-D column
         part = ad.gather_cols(m, slice(1, 3))
@@ -92,14 +98,27 @@ def scalar_losses():
     def sliced(t):
         return ad.mul(ad.vsum(ad.square(ad.slice_1d(t, 1, 3))), 2.0)
 
+    def transcendental(t):
+        # exp enters through the diagonal exp(s) of a 2-D LU layer, whose
+        # four parameters are t; its inverse divides by that diagonal
+        layer = LULinearTransform(2, [1, 0])
+        p = BlockView(t, layer_view(layer, 0)[0])
+        z, logdet = layer.forward(p, a[:, :2])
+        y = layer.inverse(p, a[:, 2:])
+        return ad.add(ad.vsum(ad.add(ad.square(z), ad.square(y))),
+                      ad.square(logdet))
+
     def entries(t):
-        m = ad.matrix_from_entries(np.eye(4), np.array([1, 2, 3]),
-                                   np.array([0, 1, 0]), ad.slice_1d(t, 0, 3))
-        return ad.vsum(ad.square(ad.matmul(a, m)))
+        # I + t0 E_10 + t1 E_21 + t2 E_30, built entry by entry, times a
+        m = np.eye(4)
+        for i, (r, c) in enumerate([(1, 0), (2, 1), (3, 0)]):
+            unit = np.zeros((4, 4))
+            unit[r, c] = 1.0
+            m = ad.add(m, ad.mul(unit, ad.slice_1d(t, i, i + 1)))
+        return ad.vsum(ad.square(ad.vsum(ad.mul(a[:, :, None], m), axis=1)))
 
     def axis_sum(t):
-        m = rows_of(ad.concat_1d([t, t, t]))
-        return ad.vsum(ad.square(ad.vsum(m, axis=0)))
+        return ad.vsum(ad.square(ad.vsum(rows_of(t), axis=0)))
 
     return [arithmetic, transcendental, matrix, gather, inner,
             sliced, entries, axis_sum]
@@ -116,38 +135,47 @@ def test_primitives_match_finite_differences(loss):
 
 @pytest.mark.parametrize("lower", [True, False])
 def test_solve_triangular_rows_gradients(lower):
+    """The LU layer's inverse solves each row against its triangular factors
+    (U^T is lower, L^T upper; ``lower`` picks the one that is not the
+    identity): gradients with respect to the factor entries and the rows."""
     rng = np.random.default_rng(5)
     b0 = rng.standard_normal((3, 4))
-    d = 4
+    layer = LULinearTransform(4, np.arange(4))
+    ranges, n_layer, n = layer_view(layer, 4)
+    values = np.zeros(n)
+    values[n_layer:] = rng.standard_normal(4)
+    factor = "upper_offdiag" if lower else "lower"
+    values[slice(*ranges[factor])] = rng.standard_normal(6)
+    if lower:
+        values[slice(*ranges["upper_logdiag"])] = 0.4 * rng.standard_normal(4)
 
     def loss(theta):
-        rows = np.array([1, 2, 3, 3])
-        cols = np.array([0, 1, 0, 2])
-        if not lower:
-            rows, cols = cols, rows
-        t = ad.matrix_from_entries(np.eye(d) * 1.5, rows, cols,
-                                   ad.slice_1d(theta, 0, 4))
-        bvar = ad.add(b0, ad.slice_1d(theta, 4, 8))
-        y = ad.solve_triangular_rows(bvar, t, lower=lower)
+        bvar = ad.add(b0, ad.slice_1d(theta, n_layer, n))  # shifts every row
+        y = layer.inverse(BlockView(theta, ranges), bvar)
         return ad.vsum(ad.square(y))
 
-    theta = params(np.array([0.3, -0.8, 0.5, 1.1, 0.2, -0.4, 0.9, -1.2]))
+    theta = params(values)
     rec = evaluate_with_gradient(loss, theta)
     fd = finite_difference_gradient(loss, theta, step=1e-6)
     assert rel_err(rec.gradient, fd) < 1e-5
 
 
 def test_householder_rows_gradients():
+    """The QR layer's reflections: gradients with respect to the Householder
+    vector, the triangular factor and the rows they act on."""
     rng = np.random.default_rng(6)
     x0 = rng.standard_normal((5, 3))
+    layer = QRLinearTransform(3, 1)
+    ranges, n_layer, n = layer_view(layer, 3)
+    values = np.concatenate([[0.9, -0.2, 0.6], 0.3 * rng.standard_normal(6),
+                             [0.1, -0.7, 0.3]])
 
     def loss(theta):
-        v = ad.slice_1d(theta, 0, 3)
-        x = ad.add(x0, ad.slice_1d(theta, 3, 6))
-        y = ad.householder_rows(v, x)
+        x = ad.add(x0, ad.slice_1d(theta, n_layer, n))
+        y, _ = layer.forward(BlockView(theta, ranges), x)
         return ad.vsum(ad.mul(ad.square(y), np.arange(1.0, 16.0).reshape(5, 3)))
 
-    theta = params(np.array([0.9, -0.2, 0.6, 0.1, -0.7, 0.3]))
+    theta = params(values)
     rec = evaluate_with_gradient(loss, theta)
     fd = finite_difference_gradient(loss, theta, step=1e-6)
     assert rel_err(rec.gradient, fd) < 1e-5
@@ -156,7 +184,7 @@ def test_householder_rows_gradients():
 def test_loss_value_matches_gradient_evaluation():
     """Plain evaluation and the taped one run the same arithmetic."""
     def loss(theta):
-        return ad.vsum(ad.exp(theta))
+        return ad.vsum(ad.mul(ad.square(theta), theta))
 
     cases = [(loss, params([0.1, 0.2]))]
     cases += [gradient_instance(kind, seed)
@@ -167,28 +195,32 @@ def test_loss_value_matches_gradient_evaluation():
 
 
 def primitive_calls():
-    """Every primitive: its array inputs and a call taking them."""
+    """Every primitive, and the fused linear-layer nodes that replaced the
+    reflection, triangular-solve and matrix-building primitives: array
+    inputs and a call taking them."""
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 3))
     v = rng.standard_normal(3)
-    t = np.triu(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
+    qr, lu = QRLinearTransform(3, 2), LULinearTransform(3, [2, 0, 1])
+    qr_theta, lu_theta = qr.init_params(rng), 0.3 * rng.standard_normal(9)
+    qr_ranges, lu_ranges = layer_view(qr, 0)[0], layer_view(lu, 0)[0]
     return {
         "add": ([m, v], ad.add),
         "sub": ([m, v], ad.sub),
         "mul": ([m, v], ad.mul),
         "square": ([m], ad.square),
-        "exp": ([m], ad.exp),
         "vsum": ([m], lambda a: ad.vsum(a, axis=1)),
-        "matmul": ([m, t], ad.matmul),
-        "transpose": ([m], ad.transpose),
         "slice_1d": ([v], lambda a: ad.slice_1d(a, 1, 3)),
-        "concat_1d": ([v, v], lambda a, b: ad.concat_1d([a, b])),
         "gather_cols": ([m], lambda a: ad.gather_cols(a, [2, 0])),
-        "matrix_from_entries": ([v], lambda a: ad.matrix_from_entries(
-            np.eye(3), [1, 2, 2], [0, 0, 1], a)),
-        "householder_rows": ([v, m], ad.householder_rows),
-        "solve_triangular_rows": ([m, t], lambda b, tri: ad.solve_triangular_rows(
-            b, tri, lower=False)),
+        # the QR inverse applies the reflections to the rows of the batch
+        "householder_rows": ([qr_theta, m], lambda t, z: qr.inverse(
+            BlockView(t, qr_ranges), z)),
+        # the LU inverse: the rows against the triangular factors
+        "solve_triangular_rows": ([lu_theta, m], lambda t, z: lu.inverse(
+            BlockView(t, lu_ranges), z)),
+        # a matrix built from parameter entries, over a constant batch
+        "matrix_from_entries": ([lu_theta], lambda t: lu.inverse(
+            BlockView(t, lu_ranges), m)),
     }
 
 
@@ -215,22 +247,22 @@ def test_primitive_records_only_when_an_input_is_a_node(name):
 
 def test_nonfinite_loss_names_first_bad_op():
     def loss(theta):
-        return ad.vsum(ad.mul(ad.exp(ad.mul(theta, 1000.0)), -1.0))
+        return ad.vsum(ad.mul(ad.square(ad.mul(theta, 1e200)), -1.0))
 
     with np.errstate(over="ignore"), pytest.raises(NonFiniteLossError) as err:
         evaluate_with_gradient(loss, params([1.0]))
-    assert err.value.op == "exp"
+    assert err.value.op == "square"
 
 
 def test_nonfinite_gradient_detected():
-    # exp(-exp(t)) underflows to a finite 0 at t = 1000, but its derivative
-    # multiplies that 0 by exp(1000) = inf, so only the gradient goes NaN
+    # 1e308 * t^2 is finite at t = 1, but its derivative 2e308 overflows,
+    # so only the gradient goes infinite
     def loss(theta):
-        return ad.vsum(ad.exp(ad.mul(ad.exp(theta), -1.0)))
+        return ad.vsum(ad.mul(ad.square(theta), 1e308))
 
-    with np.errstate(over="ignore", invalid="ignore"), \
+    with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteLossError, match="gradient"):
-        evaluate_with_gradient(loss, params([1000.0]))
+        evaluate_with_gradient(loss, params([1.0]))
 
 
 def test_loss_must_be_var():
@@ -264,9 +296,9 @@ def test_concurrent_evaluations_record_separate_tapes():
     a = rng.standard_normal((6, 4))
 
     def loss(theta):
-        y = ad.matmul(a, ad.mul(theta, 0.5))
+        y = ad.mul(a, ad.mul(theta, 0.5))
         for _ in range(40):  # long enough to span many thread switches
-            y = ad.add(ad.mul(ad.exp(ad.mul(y, -0.1)), 0.5), y)
+            y = ad.add(ad.mul(ad.square(ad.mul(y, 0.1)), 0.5), ad.mul(y, 0.5))
         return ad.vsum(ad.square(y))
 
     theta = params(rng.standard_normal(4))

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -138,6 +139,26 @@ def test_train_on_malformed_sidecar_splits_exits_one(tmp_path, capsys, splits):
     assert err.startswith("error:") and "dataset.csv.meta.json" in err
 
 
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:12], lambda raw: b"\xff" + raw,
+], ids=["truncated", "not-utf8"])
+def test_train_on_unreadable_sidecar_exits_one(tmp_path, capsys, damage):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    meta_path = data_dir / "dataset.csv.meta.json"
+    meta_path.write_bytes(damage(meta_path.read_bytes()))
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(data_dir / "dataset.csv")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error:") and str(meta_path) in err
+
+
 def test_eval_pca_baseline(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)
@@ -223,6 +244,27 @@ def test_eval_underflowing_diagonal_exits_two(tmp_path, capsys):
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("numerical failure:") and "zero diagonal" in err
+
+
+def test_eval_lu_underflowing_diagonal_exits_two(tmp_path, capsys):
+    doc = model_to_dict(build_lu_flow(3, np.random.default_rng(0), offset=True))
+    doc["transforms"][1]["params"]["upper_logdiag"] = [0.0, -1000.0, 0.0]
+    code, err = eval_checkpoint_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("numerical failure:") and "zero diagonal" in err
+
+
+@pytest.mark.parametrize("kind, logdiag", [
+    ("qr", -745.0), ("lu", -700.0), ("lu", -745.0)])
+def test_eval_subnormal_diagonal_exits_two(tmp_path, capsys, kind, logdiag):
+    # every diagonal entry is nonzero, but inverting the map underflows
+    doc = model_to_dict(CHECKPOINT_MODELS[kind](np.random.default_rng(0)))
+    doc["transforms"][-1]["params"]["upper_logdiag"] = [logdiag] * 3
+    with np.errstate(all="ignore"):
+        code, err = eval_checkpoint_doc(tmp_path, capsys, doc)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("numerical failure:")
 
 
 CHECKPOINT_MODELS = {
@@ -398,6 +440,24 @@ def test_sweep_child_names_drop_path_separators(tmp_path):
             (out / "aggregate.csv").read_text().splitlines()[1:]]
     assert [Path(r[-1]).name for r in rows] == ["order=0-2-1_s0", "order=2-1-0_s0"]
     assert all((out / Path(r[-1]).name / "report.json").exists() for r in rows)
+
+
+def test_sweep_aggregate_quotes_list_values(tmp_path):
+    from nestedflow.experiment import run_sweep
+    base = write_config(tmp_path / "base.json")
+    base["train"]["iterations"] = 1
+    base["nd"] = {"lambda": 1.0, "p": 0.5}
+    sweep = {"base": base, "grid": {"nd.order": [[0, 2, 1], [2, 1, 0]]},
+             "seeds": [0]}
+    out = run_sweep(sweep, tmp_path / "orders")
+    with open(out / "aggregate.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert len(rows) == 2
+    for row, order in zip(rows, [[0, 2, 1], [2, 1, 0]]):
+        assert None not in row and len(row) == len(reader.fieldnames)
+        assert json.loads(row["nd.order"]) == order
+        assert row["status"] == "ok"
 
 
 def test_sweep_worker_env(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
-"""Dense linear algebra: random rotations, the Householder reflection and
-triangular solve that the linear flows apply to every row of a batch, and
-the covariance eigendecomposition of the PCA baseline."""
+"""Dense linear algebra: random rotations, the Householder reflections and
+triangular factors the QR/LU linear layers build their matrix from, and the
+covariance eigendecomposition of the PCA baseline."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nestedflow.autodiff import householder_rows, solve_triangular_rows
+from nestedflow.flows import FlowModel, LULinearTransform, QRLinearTransform
 from nestedflow.linalg import random_rotation
 from nestedflow.pca import pca_fit
 
 
+def reflection_layer(vs):
+    """A QR layer with the Householder vectors vs and R = I: z = x H_0 .. H_k."""
+    vs = np.atleast_2d(np.asarray(vs, dtype=np.float64))
+    h, d = vs.shape
+    params = np.concatenate([vs.ravel(), np.zeros(d * (d - 1) // 2 + d)])
+    return FlowModel(d, [QRLinearTransform(d, h)], params)
+
+
 def reflect(v, x):
     """The reflection through the hyperplane orthogonal to v, applied to x."""
-    return householder_rows(np.asarray(v, dtype=np.float64),
-                            np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
+    z, _ = reflection_layer(v).forward_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    return z[0]
 
 
 def test_householder_reflects_its_vector():
@@ -31,8 +39,11 @@ def test_householder_fixes_orthogonal_complement():
 
 
 def test_householder_zero_vector_rejected():
-    with pytest.raises(ZeroDivisionError):
-        reflect(np.zeros(3), np.ones(3))
+    m = reflection_layer([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ZeroDivisionError, match="Householder"):
+        m.forward_batch(np.ones((1, 3)))
+    with pytest.raises(ZeroDivisionError, match="Householder"):
+        m.inverse_batch(np.ones((1, 3)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -51,10 +62,27 @@ def test_householder_involution_and_isometry(dim, seed):
 def test_householder_matrix_orthogonal():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(5)
-    h = householder_rows(v, np.eye(5))  # rows of I reflected: the matrix
+    h = reflection_layer(v).forward_batch(np.eye(5))[0]  # rows of I: the matrix
     assert_allclose(h, h.T, atol=1e-15)
     assert_allclose(h @ h.T, np.eye(5), atol=1e-12)
     assert np.linalg.det(h) == pytest.approx(-1.0, abs=1e-10)
+    # Q of several reflections is orthogonal with determinant (-1)^H
+    q = reflection_layer(rng.standard_normal((4, 5))).forward_batch(np.eye(5))[0]
+    assert_allclose(q @ q.T, np.eye(5), atol=1e-12)
+    assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-10)
+
+
+def triangular_layer(t, lower):
+    """An LU layer with the identity permutation whose map is z = x @ t:
+    t = U^T (lower, diagonal exp(s)) with L = I, or t = L^T (upper, unit
+    diagonal) with U = I."""
+    d = t.shape[0]
+    n_off = d * (d - 1) // 2
+    if lower:
+        blocks = [np.zeros(n_off), t.T[np.triu_indices(d, 1)], np.log(np.diag(t))]
+    else:
+        blocks = [t.T[np.tril_indices(d, -1)], np.zeros(n_off), np.zeros(d)]
+    return FlowModel(d, [LULinearTransform(d, np.arange(d))], np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("lower", [True, False])
@@ -63,17 +91,24 @@ def test_triangular_solve_against_numpy(lower, dim):
     rng = np.random.default_rng(dim)
     t = rng.standard_normal((dim, dim))
     t = np.tril(t) if lower else np.triu(t)
-    t[np.arange(dim), np.arange(dim)] = 1.0 + rng.random(dim)
+    t[np.arange(dim), np.arange(dim)] = 1.0 + rng.random(dim) if lower else 1.0
+    m = triangular_layer(t, lower)
+    t = m.forward_batch(np.eye(dim))[0]  # exp(log d) may round d
     b = rng.standard_normal((4, dim))
-    y = solve_triangular_rows(b, t, lower=lower)  # y @ t = b, row by row
+    y = m.inverse_batch(b)  # y @ t = b, row by row
     assert_allclose(y @ t, b, atol=1e-10)
     assert_allclose(y, np.linalg.solve(t.T, b.T).T, atol=1e-10)
 
 
 def test_triangular_solve_singular_names_index():
-    t = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 2.0]])
-    with pytest.raises(ZeroDivisionError, match="index 1"):
-        solve_triangular_rows(np.ones((2, 3)), t, lower=True)
+    lu = LULinearTransform(3, [2, 0, 1])
+    qr = QRLinearTransform(3, 2)
+    for t in (lu, qr):
+        params = t.init_params(np.random.default_rng(0))
+        params[-2] = -1000.0  # exp(-1000) underflows: diagonal entry 1 is 0
+        m = FlowModel(3, [t], params)
+        with pytest.raises(ZeroDivisionError, match="zero diagonal entry at index 1"):
+            m.inverse_batch(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 6, 16])
