@@ -3,9 +3,10 @@
 Flows trained with a truncated-reconstruction penalty order their latent
 dimensions by importance, recovering PCA-like structure from a generic
 invertible model.  The package provides LU and QR linear flows, affine
-coupling multi-scale flows, the nested-dropout objective, a tape-based
-gradient engine, Adam training, a PCA baseline, and evaluation tools,
-all on top of numpy.
+coupling multi-scale flows, the nested-dropout objective, Adam training,
+a PCA baseline, and evaluation tools, all on top of numpy.  Transforms
+carry hand-written VJPs; the objective is one tape node whose VJP runs
+an explicit reverse sweep through the flow's inverse and forward passes.
 """
 
 __version__ = "0.1.0"

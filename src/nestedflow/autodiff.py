@@ -1,29 +1,26 @@
-"""Reverse-mode automatic differentiation over batched numpy arrays.
+"""Reverse-mode gradients of scalar losses over a flat parameter vector.
 
-A small tape machine: model code builds scalar losses out of the primitive
-functions in this module (``add``/``sub``/``mul``/``square``, ``vsum``, and
-the structural ``slice_1d`` and ``gather_cols``), and
-:func:`evaluate_with_gradient` replays the tape backwards to accumulate exact
-parameter gradients.  A layer computes its whole map in numpy and
-registers it as one fused node with a hand-written VJP through
-:func:`record`, as the affine coupling and the QR/LU linear layers do; the
-primitives compose those nodes with the loss.
+A small tape: :func:`evaluate_with_gradient` hands the loss its parameters
+as a leaf :class:`Var`, and the loss registers its value through
+:func:`record` together with a VJP per input; the tape is then replayed
+backwards.  The package's one loss, :func:`nestedflow.nested_dropout.loss_terms`,
+computes in plain numpy and records its total as a single node whose VJP
+runs the flow's explicit reverse sweep, so a training step tapes two
+nodes: the parameters and the loss.
 
-A :class:`Var` is a tape node.  Each primitive computes its value once and
-hands it to :func:`record` with one VJP per input; ``record`` returns a node
-only while this thread is recording and some input is a node, and the plain
-value otherwise.  So the same model code evaluates plain arrays without a
-tape (:func:`loss_value`, evaluation) and builds the tape under
-:func:`evaluate_with_gradient`.  One gradient evaluation is
-single-threaded.  The recording tape is per thread, so independent
-evaluations may run concurrently in separate threads; they must not share a
-model whose parameters another thread changes meanwhile.
+``record`` returns a node only while this thread is recording and some
+input is a node, and the plain value otherwise, so the same loss code
+evaluates without a tape (:func:`loss_value`, finite differences) and
+builds the tape under :func:`evaluate_with_gradient`.  One gradient
+evaluation is single-threaded.  The recording tape is per thread, so
+independent evaluations may run concurrently in separate threads; they
+must not share a model whose parameters another thread changes meanwhile.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +37,7 @@ __all__ = [
 
 
 class NonFiniteLossError(ArithmeticError):
-    """A loss or gradient evaluation produced NaN/Inf.
-
-    ``op`` names the first primitive whose output went non-finite.
-    """
-
-    def __init__(self, message: str, op: str | None = None):
-        super().__init__(message)
-        self.op = op
+    """A loss or gradient evaluation produced NaN/Inf."""
 
 
 class Var:
@@ -91,10 +81,6 @@ class _Recording:
         return False
 
 
-def _val(x):
-    return x.value if isinstance(x, Var) else x
-
-
 def record(value, parents, op):
     """Return ``value``, as a new tape node when it depends on one.
 
@@ -103,8 +89,6 @@ def record(value, parents, op):
     whose input is not a :class:`Var` are constants and are dropped.  Only
     when this thread is recording and some input is a node does the output
     become a node on the tape; otherwise ``value`` comes back as it is.
-    Every primitive of this module ends here; a fused layer calls it
-    directly with its own VJPs.
     """
     tape = _LOCAL.tape
     if tape is None:
@@ -117,128 +101,27 @@ def record(value, parents, op):
     return node
 
 
-def _unbroadcast(grad, shape):
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    g = np.asarray(grad)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, n in enumerate(shape):
-        if n == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g
-
-
-# -- arithmetic -------------------------------------------------------------
-
-def add(a, b):
-    av, bv = _val(a), _val(b)
-    return record(np.add(av, bv),
-                  ((a, lambda g: _unbroadcast(g, np.shape(av))),
-                   (b, lambda g: _unbroadcast(g, np.shape(bv)))), "add")
-
-
-def sub(a, b):
-    av, bv = _val(a), _val(b)
-    return record(np.subtract(av, bv),
-                  ((a, lambda g: _unbroadcast(g, np.shape(av))),
-                   (b, lambda g: _unbroadcast(-g, np.shape(bv)))), "sub")
-
-
-def mul(a, b):
-    av, bv = _val(a), _val(b)
-    return record(np.multiply(av, bv),
-                  ((a, lambda g: _unbroadcast(g * bv, np.shape(av))),
-                   (b, lambda g: _unbroadcast(g * av, np.shape(bv)))), "mul")
-
-
-def square(a):
-    av = _val(a)
-    return record(np.square(av), ((a, lambda g: g * (2.0 * av)),), "square")
-
-
-def vsum(a, axis=None):
-    """Summation (optionally along one axis)."""
-    av = _val(a)
-
-    def vjp(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, np.shape(av)).copy()
-
-    return record(np.sum(av, axis=axis), ((a, vjp),), "sum")
-
-
-# -- structural ops ---------------------------------------------------------
-
-def slice_1d(a, start, stop):
-    """Contiguous slice of a 1-D array (parameter block extraction)."""
-    av = _val(a)
-
-    def vjp(g):
-        out = np.zeros(av.shape[0])
-        out[start:stop] = g
-        return out
-
-    return record(av[start:stop], ((a, vjp),), "slice_1d")
-
-
-def gather_cols(x, idx):
-    """Select columns ``idx`` of a 2-D array: an index array (also permutes,
-    when idx is a permutation), a slice, or one index (a 1-D column).
-
-    The indices must be distinct: the VJP writes each column's gradient
-    by plain assignment instead of accumulating repeats.
-    """
-    if not isinstance(idx, slice):
-        idx = np.asarray(idx)
-    xv = _val(x)
-
-    def vjp(g):
-        out = np.zeros(xv.shape)
-        out[:, idx] = g
-        return out
-
-    return record(xv[:, idx], ((x, vjp),), "gather_cols")
-
-
 # -- parameters and gradient evaluation -------------------------------------
 
 @dataclass(frozen=True)
 class ParameterVector:
-    """Flat parameter storage with named block ranges.
-
-    ``registry`` maps block names to half-open ``(start, stop)`` index ranges;
-    the ranges are disjoint and cover the whole vector.
-    """
+    """Flat, finite, 1-D parameter storage."""
 
     values: np.ndarray
-    registry: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
         if v.ndim != 1:
             raise ValueError("parameter vector must be 1-D")
-        spans = sorted(self.registry.values())
-        covered = 0
-        for start, stop in spans:
-            if start != covered:
-                raise ValueError("registry ranges must be disjoint and cover the vector")
-            covered = stop
-        if covered != v.size:
-            raise ValueError("registry ranges must cover the full vector")
         if not np.all(np.isfinite(v)):
             raise ValueError("parameter vector contains non-finite entries")
 
     def __len__(self):
         return self.values.size
 
-    def block(self, name: str) -> np.ndarray:
-        start, stop = self.registry[name]
-        return self.values[start:stop]
-
     def with_values(self, values: np.ndarray) -> "ParameterVector":
-        return ParameterVector(values, self.registry)
+        return ParameterVector(values)
 
 
 @dataclass(frozen=True)
@@ -247,13 +130,6 @@ class GradientRecord:
 
     value: float
     gradient: np.ndarray
-
-
-def _first_nonfinite_op(tape) -> str | None:
-    for node in tape:
-        if not np.all(np.isfinite(node.value)):
-            return node.op
-    return None
 
 
 def _backward(tape, out: Var, leaf: Var) -> np.ndarray:
@@ -278,21 +154,18 @@ def _backward(tape, out: Var, leaf: Var) -> np.ndarray:
 def evaluate_with_gradient(loss, theta: ParameterVector) -> GradientRecord:
     """Evaluate ``loss`` at ``theta`` and return value plus exact gradient.
 
-    ``loss`` must be a scalar function built from the primitives of this
-    module; it receives the parameters as a single 1-D :class:`Var`.
+    ``loss`` must be a scalar function that receives the parameters as a
+    single 1-D :class:`Var` and returns a node registered through
+    :func:`record`.
     """
     with _Recording() as tape:
         leaf = Var(np.array(theta.values, dtype=np.float64))
         out = loss(leaf)
         if not isinstance(out, Var):
-            raise TypeError("loss must return a Var built from autodiff primitives")
+            raise TypeError("loss must return a tape node registered through record")
         value = float(out.value)
         if not np.isfinite(value):
-            op = _first_nonfinite_op(tape)
-            raise NonFiniteLossError(
-                f"loss evaluated to {value}" + (f" (first non-finite op: {op})" if op else ""),
-                op=op,
-            )
+            raise NonFiniteLossError(f"loss evaluated to {value}")
         gradient = _backward(tape, out, leaf)
     if not np.all(np.isfinite(gradient)):
         bad = int(np.flatnonzero(~np.isfinite(gradient))[0])

@@ -14,7 +14,8 @@ import json
 import numpy as np
 
 from .coupling import AffineCouplingTransform, MultiScaleFlow
-from .flows import FlowModel, LULinearTransform, OffsetTransform, QRLinearTransform
+from .flows import (FlowModel, LULinearTransform, OffsetTransform, QRLinearTransform,
+                    split_blocks)
 
 SCHEMA_VERSION = 1
 
@@ -31,13 +32,12 @@ class CheckpointError(ValueError):
 
 def model_to_dict(m: FlowModel, rng_seed: int | None = None) -> dict:
     transforms = []
-    for i, t in enumerate(m.transforms):
+    for t, (lo, hi) in zip(m.transforms, m.spans):
         entry = {"type": t.kind}
         entry.update(t.config())
-        entry["params"] = {
-            name: m.params.block(f"t{i}.{name}").tolist()
-            for name, _ in t.param_blocks
-        }
+        blocks = split_blocks(t, m.params.values[lo:hi])
+        entry["params"] = {name: block.tolist()
+                           for (name, _), block in zip(t.param_blocks, blocks)}
         transforms.append(entry)
     doc = {
         "schema_version": SCHEMA_VERSION,

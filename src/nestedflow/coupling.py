@@ -11,14 +11,17 @@ The multi-scale builder stacks couplings in levels; at the end of every
 level the first half of the active variables is set aside and never
 transformed again.  Variables that survive to deeper levels pass through
 more transforms, which induces the depth ordering used as a drop order.
+
+Couplings follow the transform protocol of :mod:`nestedflow.flows`: plain
+numpy forward and inverse maps, each returning a ``back`` closure that the
+loss's reverse sweep calls once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .flows import FlowModel
+from .flows import FlowModel, split_blocks
 
 
 class AffineCouplingTransform:
@@ -28,10 +31,10 @@ class AffineCouplingTransform:
     ``hidden_width``) from the A coordinates to ``(s_raw, t)``; the applied
     log-scale is ``bound * tanh(s_raw)``.
 
-    Both directions compute in numpy.  Under gradient recording each
-    application becomes one tape node whose hand-written VJP
+    Both directions compute in numpy; the ``back`` closure each returns
     back-propagates the conditioner once, so training and evaluation run
-    the same arithmetic.
+    the same arithmetic.  The weights are the six blocks in the
+    conditioner's shapes, so their gradient is the span's.
     """
 
     kind = "affine_coupling"
@@ -68,12 +71,14 @@ class AffineCouplingTransform:
             np.zeros(2 * nb),
         ])
 
-    def _weights(self, p):
-        """Numpy views of the six blocks in the conditioner's shapes."""
+    def weights(self, p):
+        """Views of the six blocks in the conditioner's shapes."""
         na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
         shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
-        return [p.array(name).reshape(shape)
-                for (name, _), shape in zip(self.param_blocks, shapes)]
+        return [b.reshape(shape) for b, shape in zip(split_blocks(self, p), shapes)]
+
+    def weights_vjp(self, w, gw):
+        return gw
 
     def _conditioner(self, w, xa):
         """Hidden activations, tanh(s_raw), log-scale s and shift t."""
@@ -104,51 +109,42 @@ class AffineCouplingTransform:
         ])
         return g_local, np.matmul(g_pre1, w1.T)
 
-    def _assemble(self, keep, changed, extra=0):
-        out = np.empty((keep.shape[0], self.dim + extra))
+    def _assemble(self, keep, changed):
+        out = np.empty((keep.shape[0], self.dim))
         out[:, self.identity_idx] = keep
         out[:, self.transformed_idx] = changed
         return out
 
-    def forward(self, p, x):
-        w = self._weights(p)
-        xv = ad._val(x)
-        xa, xb = xv[:, self.identity_idx], xv[:, self.transformed_idx]
+    def forward(self, w, x):
+        xa, xb = x[:, self.identity_idx], x[:, self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, xa)
         es = np.exp(s)
-        zb = np.add(np.multiply(xb, es), t)
-        # One node carries [z | log-det]; two column views split it.
-        joint = self._assemble(xa, zb, extra=1)
-        joint[:, self.dim] = np.sum(s, axis=1)
+        z = self._assemble(xa, np.add(np.multiply(xb, es), t))
 
-        def backward(g):
-            gz = g[:, : self.dim]
+        def back(gz, g_logdet):
             gzb = gz[:, self.transformed_idx]
-            g_s = g[:, self.dim][:, None] + np.multiply(np.multiply(gzb, xb), es)
+            g_s = g_logdet[:, None] + np.multiply(np.multiply(gzb, xb), es)
             g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb)
             return g_local, self._assemble(gz[:, self.identity_idx] + g_xa,
                                            np.multiply(gzb, es))
 
-        node = p.fuse(x, joint, "coupling_forward", backward)
-        return ad.gather_cols(node, slice(0, self.dim)), ad.gather_cols(node, self.dim)
+        return z, np.sum(s, axis=1), back
 
-    def inverse(self, p, z):
-        w = self._weights(p)
-        zv = ad._val(z)
-        za, zb = zv[:, self.identity_idx], zv[:, self.transformed_idx]
+    def inverse(self, w, z):
+        za, zb = z[:, self.identity_idx], z[:, self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, za)
         d = np.subtract(zb, t)
         e = np.exp(np.multiply(s, -1.0))
         x = self._assemble(za, np.multiply(d, e))
 
-        def backward(g):
+        def back(g):
             gxb = g[:, self.transformed_idx]
             g_d = np.multiply(gxb, e)
             g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
             g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d)
             return g_local, self._assemble(g[:, self.identity_idx] + g_za, g_d)
 
-        return p.fuse(z, x, "coupling_inverse", backward)
+        return x, back
 
     def config(self):
         return {

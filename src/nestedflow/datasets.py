@@ -145,9 +145,13 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     rows = []
     width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno} is not UTF-8 ({e.reason})") from None
             if not line:
                 continue
             cells = line.split(",")

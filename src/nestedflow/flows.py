@@ -1,14 +1,26 @@
 """Invertible transforms, the standard-normal base density, and flow models.
 
-Transforms are pure structure: they describe parameter block layouts and how
-to apply/invert themselves given a view of the flat parameter vector.  The
-:class:`FlowModel` owns the actual parameter values.  The QR and LU linear
-layers build their D×D matrix from its factors and apply it to the batch
-with one matmul; they and the affine coupling compute in numpy and register
-each application as one fused node through :meth:`BlockView.fuse`, while
-the offset is written in :mod:`nestedflow.autodiff` primitives.  Either way
-:func:`nestedflow.autodiff.record` decides what is taped, so one code path
-maps plain arrays and, under gradient evaluation, tape nodes.
+Transforms are pure structure: they describe their parameter blocks and how
+to apply and invert themselves given the plain array of their span of the
+flat parameter vector.  The :class:`FlowModel` owns the parameter values.
+A transform's protocol, all in numpy:
+
+- ``weights(p)`` turns its span ``p`` into the form its arithmetic uses,
+  once per evaluation (the QR and LU layers build their D×D matrix from its
+  factors here);
+- ``forward(w, x)`` returns ``(z, log|det|, back)`` and ``inverse(w, z)``
+  returns ``(x, back)``, where the ``back`` closure maps the output's
+  gradient (with the log-det's, forward) to the weights' gradient and the
+  input's;
+- ``weights_vjp(w, gw)`` maps the weights' gradient, summed over the
+  forward and the inverse application, to the span's gradient.
+
+:meth:`FlowModel.forward_pass` and :meth:`FlowModel.inverse_pass` collect
+the ``back`` closures when asked, and :meth:`FlowModel.inverse_backward`
+and :meth:`FlowModel.forward_backward` run them in reverse: the explicit
+sweep that differentiates the nested-dropout loss.  Both passes check
+every transform's output, in training as in evaluation, and raise
+:class:`FlowEvalError` naming the transform index, kind and direction.
 
 Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 ``z = W x`` become ``Z = X W^T`` on batches.
@@ -20,8 +32,7 @@ import math
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ParameterVector, Var
+from .autodiff import ParameterVector
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -30,103 +41,60 @@ class FlowEvalError(ArithmeticError):
     """A transform produced a non-finite intermediate value."""
 
 
-class BlockView:
-    """Named access to a transform's parameter blocks within a flat vector.
-
-    ``theta`` is the flat vector (array or tape node) and ``ranges`` maps
-    block names to half-open index ranges in it.
-    """
-
-    def __init__(self, theta, ranges):
-        self.theta = theta
-        self.ranges = ranges
-
-    def __getitem__(self, name):
-        start, stop = self.ranges[name]
-        return ad.slice_1d(self.theta, start, stop)
-
-    @property
-    def span(self):
-        """Half-open range of all the transform's blocks, which lie
-        contiguously in ``ranges`` order."""
-        ranges = list(self.ranges.values())
-        return ranges[0][0], ranges[-1][1]
-
-    def array(self, name) -> np.ndarray:
-        """The block's values as a plain array, never a tape node."""
-        start, stop = self.ranges[name]
-        return ad._val(self.theta)[start:stop]
-
-    def fuse(self, x, out, op, backward):
-        """Record ``out`` as one tape node over the parameter vector and the
-        input ``x`` (a constant ``x``, such as None, is no parent).
-
-        ``backward(g)`` returns the gradients of the transform's parameter
-        :attr:`span` and of ``x``; it runs once per backward pass and serves
-        both parents.
-        """
-        start, stop = self.span
-        n_theta = np.shape(ad._val(self.theta))[0]
-        cache = []
-
-        def both(g):
-            if not cache:
-                cache.append(backward(g))
-            return cache[0]
-
-        def vjp_theta(g):
-            full = np.zeros(n_theta)
-            full[start:stop] = both(g)[0]
-            return full
-
-        return ad.record(out, ((self.theta, vjp_theta), (x, lambda g: both(g)[1])), op)
+def split_blocks(t, p) -> list:
+    """Views of the transform's parameter blocks, in ``param_blocks``
+    order, within its span ``p``."""
+    blocks, start = [], 0
+    for _, size in t.param_blocks:
+        blocks.append(p[start : start + size])
+        start += size
+    return blocks
 
 
 class _LinearTransform:
     """A linear map ``z = x @ A`` whose D×D matrix ``A`` is built from
     factors, among them an upper triangular matrix with free strictly-upper
     entries (block ``upper_offdiag``) and ``diag = exp(s)`` (block
-    ``upper_logdiag``), so ``log|det| = sum(s)``.
+    ``upper_logdiag``, the last), so ``log|det| = sum(s)``.
 
-    Subclasses define ``_map(p) -> (A, diag, vjp)``, where ``vjp`` turns
-    ``dL/dA`` into the gradient of the layer's parameter span.  Forward and
-    inverse each apply ``A`` or ``A^-1`` to the batch with one matmul and,
-    under gradient recording, become one tape node; the log-determinant is
-    one more.
+    Subclasses define ``_map(blocks) -> (A, diag, vjp)``, where ``vjp``
+    turns ``dL/dA`` into the gradient of the layer's span.  The weights
+    gradient is ``dL/dA`` with ``dL/d log|det|`` appended as a last row, so
+    the forward and inverse contributions add up before ``vjp`` runs once.
     """
 
-    def _upper(self, p: BlockView):
+    def _upper(self, off, logdiag):
         """The upper triangular factor and its diagonal ``exp(s)``."""
-        diag = np.exp(p.array("upper_logdiag"))
+        diag = np.exp(logdiag)
         u = np.diag(diag)
-        u[self._up] = p.array("upper_offdiag")
+        u[self._up] = off
         return u, diag
 
     def _upper_grad(self, gu, diag):
         """Gradients of the upper_offdiag and upper_logdiag blocks."""
         return [gu[self._up], np.diagonal(gu) * diag]
 
-    def forward(self, p: BlockView, x):
-        a, _, vjp = self._map(p)
-        xv = ad._val(x)
-        z = p.fuse(x, np.matmul(xv, a), f"{self.kind}_forward",
-                   lambda g: (vjp(np.matmul(xv.T, g)), np.matmul(g, a.T)))
-        return z, self._logdet(p)
+    def weights(self, p):
+        """``(A, diag, vjp, log|det|)``."""
+        blocks = split_blocks(self, p)
+        return (*self._map(blocks), np.sum(blocks[-1]))
 
-    def _logdet(self, p: BlockView):
-        start, stop = p.span
-        lo, hi = p.ranges["upper_logdiag"]
+    def weights_vjp(self, w, gw):
+        g = w[2](gw[:-1])  # the factor VJP of dL/dA
+        g[-self.dim :] += gw[-1]  # d log|det| / ds = 1 for every s
+        return g
 
-        def backward(g):
-            out = np.zeros(stop - start)
-            out[lo - start : hi - start] = g
-            return out, None
+    def forward(self, w, x):
+        a, _, _, logdet = w
 
-        return p.fuse(None, np.sum(p.array("upper_logdiag")), f"{self.kind}_logdet",
-                      backward)
+        def back(g, g_logdet):
+            ga = np.vstack([np.matmul(x.T, g), np.full(self.dim, np.sum(g_logdet))])
+            return ga, np.matmul(g, a.T)
 
-    def inverse(self, p: BlockView, z):
-        a, diag, vjp = self._map(p)
+        return np.matmul(x, a), logdet, back
+
+    def inverse(self, w, z):
+        a, diag, _, _ = w
         zero = np.flatnonzero(diag == 0.0)
         if zero.size:
             raise ZeroDivisionError(f"zero diagonal entry at index {zero[0]}")
@@ -134,14 +102,13 @@ class _LinearTransform:
             b = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # a pivot underflowed to 0: numerical
             raise ZeroDivisionError(f"singular {self.kind} matrix") from None
-        zv = ad._val(z)
 
-        def backward(g):
+        def back(g):
             # x = z @ B with B = A^-1, and dB = -B dA B.
-            ga = -np.matmul(np.matmul(b.T, np.matmul(zv.T, g)), b.T)
-            return vjp(ga), np.matmul(g, b.T)
+            ga = -np.matmul(np.matmul(b.T, np.matmul(z.T, g)), b.T)
+            return np.vstack([ga, np.zeros(self.dim)]), np.matmul(g, b.T)
 
-        return p.fuse(z, np.matmul(zv, b), f"{self.kind}_inverse", backward)
+        return np.matmul(z, b), back
 
 
 class LULinearTransform(_LinearTransform):
@@ -175,10 +142,11 @@ class LULinearTransform(_LinearTransform):
         n = sum(size for _, size in self.param_blocks)
         return 1e-2 * rng.standard_normal(n)
 
-    def _map(self, p: BlockView):
+    def _map(self, blocks):
+        low, off, logdiag = blocks
         lower = np.eye(self.dim)
-        lower[self._low] = p.array("lower")
-        upper, diag = self._upper(p)
+        lower[self._low] = low
+        upper, diag = self._upper(off, logdiag)
         a = np.matmul(upper.T, lower.T)[:, self._inv_permutation]
 
         def vjp(ga):
@@ -228,12 +196,12 @@ class QRLinearTransform(_LinearTransform):
         parts.append(1e-2 * rng.standard_normal(self.dim))
         return np.concatenate(parts)
 
-    def _map(self, p: BlockView):
-        upper, diag = self._upper(p)
+    def _map(self, blocks):
+        *vs, off, logdiag = blocks
+        upper, diag = self._upper(off, logdiag)
         a = upper.T
         steps = []  # (v, v.v, the matrix m that v reflects, m @ v)
-        for h in range(self.n_householder):
-            v = p.array(f"v{h}")
+        for v in vs:
             s = float(v @ v)
             if s == 0.0:
                 raise ZeroDivisionError("Householder vector must be nonzero")
@@ -272,11 +240,17 @@ class OffsetTransform:
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def forward(self, p: BlockView, x):
-        return ad.add(x, p["offset"]), 0.0
+    def weights(self, p):
+        return p
 
-    def inverse(self, p: BlockView, z):
-        return ad.sub(z, p["offset"])
+    def weights_vjp(self, w, gw):
+        return gw
+
+    def forward(self, b, x):
+        return np.add(x, b), 0.0, lambda g, g_logdet: (g.sum(axis=0), g)
+
+    def inverse(self, b, z):
+        return np.subtract(z, b), lambda g: (-g.sum(axis=0), g)
 
     def config(self):
         return {"dim": self.dim}
@@ -287,16 +261,16 @@ class OffsetTransform:
 
 
 def standard_normal_logpdf_rows(z):
-    """Per-row log density; accepts arrays or tape nodes of shape (N, D)."""
-    d = np.shape(ad._val(z))[1]
-    sq = ad.vsum(ad.square(z), axis=1)
-    return ad.add(ad.mul(sq, -0.5), -0.5 * d * LOG_TWO_PI)
+    """Per-row log density of an (N, D) array."""
+    sq = np.sum(np.square(z), axis=1)
+    return np.add(np.multiply(sq, -0.5), -0.5 * z.shape[1] * LOG_TWO_PI)
 
 
 class FlowModel:
     """An ordered composition of invertible transforms over a standard-normal
     base distribution in ``D`` dimensions.  Owns the flat trainable
-    parameter vector; transforms hold structure only."""
+    parameter vector; transforms hold structure only.  ``spans[i]`` is the
+    half-open range of transform i's blocks in it."""
 
     def __init__(self, dim: int, transforms, params: np.ndarray):
         self.dim = dim
@@ -304,20 +278,16 @@ class FlowModel:
         for t in self.transforms:
             if t.dim != dim:
                 raise ValueError("all transforms must share the model dimension")
-        registry = {}
+        self.spans = []
         offset = 0
-        self._ranges = []  # per-transform {block: (start, stop)} in flat coords
-        for i, t in enumerate(self.transforms):
-            ranges = {}
-            for name, size in t.param_blocks:
-                registry[f"t{i}.{name}"] = (offset, offset + size)
-                ranges[name] = (offset, offset + size)
-                offset += size
-            self._ranges.append(ranges)
+        for t in self.transforms:
+            size = sum(size for _, size in t.param_blocks)
+            self.spans.append((offset, offset + size))
+            offset += size
         params = np.asarray(params, dtype=np.float64)
         if params.size != offset:
             raise ValueError(f"expected {offset} parameters, got {params.size}")
-        self.params = ParameterVector(params, registry)
+        self.params = ParameterVector(params)
 
     @property
     def n_params(self) -> int:
@@ -326,43 +296,80 @@ class FlowModel:
     def set_params(self, values: np.ndarray):
         self.params = self.params.with_values(np.asarray(values, dtype=np.float64))
 
-    def _theta(self, theta):
-        return self.params.values if theta is None else theta
+    def weights(self, theta=None) -> list:
+        """Each transform's weights on its span of the plain parameter array
+        ``theta`` (default: the model's own)."""
+        theta = self.params.values if theta is None else theta
+        return [t.weights(theta[lo:hi]) for t, (lo, hi) in zip(self.transforms, self.spans)]
 
-    def _view(self, theta, i) -> BlockView:
-        return BlockView(theta, self._ranges[i])
+    def _check(self, out, i, direction):
+        if not np.all(np.isfinite(out)):
+            raise FlowEvalError(f"non-finite {direction} output of transform {i} "
+                                f"({self.transforms[i].kind})")
 
-    def forward_batch(self, x, theta=None):
-        """Map data rows to latent rows; returns ``(Z, log_abs_det)`` where
-        the log-determinant is a scalar or per-row vector."""
-        theta = self._theta(theta)
-        tracked = isinstance(theta, Var) or isinstance(x, Var)
+    def forward_pass(self, ws, x, backs=None):
+        """Map data rows to latent rows with weights ``ws``; returns ``(Z,
+        log_abs_det)``, the log-determinant a scalar or per-row vector.
+        ``backs``, when given, receives each transform's ``back`` closure."""
         z = x
         logdet = 0.0
-        for i, t in enumerate(self.transforms):
-            z, ld = t.forward(self._view(theta, i), z)
-            logdet = ad.add(logdet, ld)
-            if not tracked and not np.all(np.isfinite(ad._val(z))):
-                raise FlowEvalError(f"non-finite output of transform {i} ({t.kind})")
+        for i, (t, w) in enumerate(zip(self.transforms, ws)):
+            z, ld, back = t.forward(w, z)
+            logdet = np.add(logdet, ld)
+            self._check(z, i, "forward")
+            if backs is not None:
+                backs.append(back)
+            del back  # frees an uncollected cache before the next layer runs
         return z, logdet
 
-    def inverse_batch(self, z, theta=None):
-        """Map latent rows back to data rows."""
-        theta = self._theta(theta)
-        tracked = isinstance(theta, Var) or isinstance(z, Var)
+    def inverse_pass(self, ws, z, backs=None):
+        """Map latent rows back to data rows with weights ``ws``; ``backs``,
+        when given, receives the ``back`` closures in transform order."""
         x = z
         for i in range(len(self.transforms) - 1, -1, -1):
-            x = self.transforms[i].inverse(self._view(theta, i), x)
-            if not tracked and not np.all(np.isfinite(ad._val(x))):
-                raise FlowEvalError(
-                    f"non-finite output of inverse transform {i} ({self.transforms[i].kind})"
-                )
+            x, back = self.transforms[i].inverse(ws[i], x)
+            self._check(x, i, "inverse")
+            if backs is not None:
+                backs.insert(0, back)
+            del back  # frees an uncollected cache before the next layer runs
         return x
 
-    def log_likelihood_batch(self, x, theta=None):
+    def inverse_backward(self, backs, g):
+        """Back through an inverse pass from the gradient of its output:
+        returns each transform's weights gradient and the gradient of the
+        pass's input."""
+        gws = []
+        for back in backs:  # transform 0 produced the output
+            gw, g = back(g)
+            gws.append(gw)
+        return gws, g
+
+    def forward_backward(self, ws, backs, g_z, g_logdet, inverse_gws=None):
+        """Back through a forward pass from the gradients of its latents and
+        of its per-row log-determinants, adding each transform's weights
+        gradient from ``inverse_gws``; returns the flat parameter gradient,
+        each transform writing its own span."""
+        grad = np.empty(self.n_params)
+        for i in range(len(self.transforms) - 1, -1, -1):
+            gw, g_z = backs[i](g_z, g_logdet)
+            if inverse_gws is not None:
+                gw = inverse_gws[i] + gw
+            lo, hi = self.spans[i]
+            grad[lo:hi] = self.transforms[i].weights_vjp(ws[i], gw)
+        return grad
+
+    def forward_batch(self, x):
+        """Map data rows to latent rows; returns ``(Z, log_abs_det)``."""
+        return self.forward_pass(self.weights(), x)
+
+    def inverse_batch(self, z):
+        """Map latent rows back to data rows."""
+        return self.inverse_pass(self.weights(), z)
+
+    def log_likelihood_batch(self, x):
         """Per-row log likelihood under the flow (nats)."""
-        z, logdet = self.forward_batch(x, theta)
-        return ad.add(standard_normal_logpdf_rows(z), logdet)
+        z, logdet = self.forward_batch(x)
+        return np.add(standard_normal_logpdf_rows(z), logdet)
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))

@@ -101,21 +101,44 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
                theta=None):
     """Per-batch objective pieces given fixed truncation indices.
 
-    Returns ``(total, nll_mean, recon_mean)``.  The truncation mask is a
-    constant of the evaluation, so dropped coordinates contribute exactly
-    zero gradient.  With ``cfg`` None or ``lam == 0`` the reconstruction
-    pass is skipped entirely and the total is exactly the mean NLL.
+    Returns ``(total, nll_mean, recon_mean)``, the last two as floats.  The
+    truncation mask is a constant of the evaluation, so dropped coordinates
+    contribute exactly zero gradient.  With ``cfg`` None or ``lam == 0`` the
+    reconstruction pass is skipped entirely and the total is exactly the
+    mean NLL.
+
+    Everything runs in numpy, at ``theta`` (a plain array, a tape node or
+    None for the model's parameters).  When ``theta`` is a node under
+    recording, ``total`` is one tape node whose VJP is the explicit reverse
+    sweep: the loss terms, then the inverse pass backwards, then the
+    forward pass backwards, each transform writing its span of the
+    gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
-    z, logdet = m.forward_batch(x, theta)
-    ll = ad.add(standard_normal_logpdf_rows(z), logdet)
-    nll_mean = ad.mul(ad.vsum(ll), -1.0 / n)
-    if cfg is None or cfg.lam == 0.0:
-        return nll_mean, nll_mean, 0.0
-    mask = keep_mask(ks, cfg.drop_order, d).astype(np.float64)
-    x_rec = m.inverse_batch(ad.mul(z, mask), theta)
-    sq = ad.vsum(ad.square(ad.sub(x_rec, x)))
-    recon_mean = ad.mul(sq, 1.0 / (n * d))
-    total = ad.add(nll_mean, ad.mul(recon_mean, cfg.lam))
-    return total, nll_mean, recon_mean
+    ws = m.weights(theta.value if isinstance(theta, ad.Var) else theta)
+    forward_backs, inverse_backs = [], []
+    z, logdet = m.forward_pass(ws, x, forward_backs)
+    ll = np.add(standard_normal_logpdf_rows(z), logdet)
+    nll_mean = np.multiply(np.sum(ll), -1.0 / n)
+    total, recon_mean = nll_mean, 0.0
+    penalised = cfg is not None and cfg.lam != 0.0
+    if penalised:
+        mask = keep_mask(ks, cfg.drop_order, d).astype(np.float64)
+        diff = np.subtract(m.inverse_pass(ws, np.multiply(z, mask), inverse_backs), x)
+        recon_mean = np.multiply(np.sum(np.square(diff)), 1.0 / (n * d))
+        total = np.add(nll_mean, np.multiply(recon_mean, cfg.lam))
+
+    def sweep(g):
+        g_rows = g * (-1.0 / n)  # dL/d(each row's log likelihood)
+        g_z = np.multiply(g_rows * -0.5, 2.0 * z)
+        inverse_gws = None
+        if penalised:
+            g_rec = np.multiply(g * cfg.lam * (1.0 / (n * d)), 2.0 * diff)
+            inverse_gws, g_masked = m.inverse_backward(inverse_backs, g_rec)
+            g_z = g_z + np.multiply(g_masked, mask)
+        return m.forward_backward(ws, forward_backs, g_z, np.full(n, g_rows),
+                                  inverse_gws)
+
+    total = ad.record(total, ((theta, sweep),), "loss_terms")
+    return total, float(nll_mean), float(recon_mean)

@@ -2,9 +2,10 @@
 
 Training is deterministic given (config, rng): per iteration the loop draws
 batch indices with replacement, then truncation indices (when the
-reconstruction penalty is active), evaluates the objective gradient on the
-tape, and applies one bias-corrected Adam step.  The loss terms and
-learning rate of every iteration are recorded as a trace.
+reconstruction penalty is active), evaluates the objective and its gradient
+(one tape node, whose VJP is the flow's explicit reverse sweep), and
+applies one bias-corrected Adam step.  The loss terms and learning rate of
+every iteration are recorded as a trace.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import NonFiniteLossError, evaluate_with_gradient
-from .flows import FlowModel
+from .flows import FlowEvalError, FlowModel
 from .nested_dropout import NestedDropoutConfig, loss_terms, sample_ks
 
 ADAM_BETA1 = 0.9
@@ -27,8 +28,9 @@ LR_SCHEDULES = ("constant", "cosine-to-zero")
 
 
 class TrainDivergenceError(ArithmeticError):
-    """Training hit a non-finite loss or gradient; message carries the
-    iteration index and the last finite loss terms."""
+    """Training hit a non-finite loss, gradient or flow output; the message
+    carries the iteration index, the transform index, kind and direction
+    when a flow output went non-finite, and the last finite loss terms."""
 
 
 @dataclass(frozen=True)
@@ -143,26 +145,21 @@ def train(m: FlowModel, train_points: np.ndarray, cfg: TrainConfig,
             ks = sample_ks(cfg.nd.schedule, rng, cfg.batch_size)
         else:
             ks = None
-        parts = {}
 
         def objective(theta):
-            total, nll, recon = loss_terms(m, x, ks, cfg.nd, theta)
-            parts["nll"] = nll
-            parts["recon"] = recon
+            total, trace_nll[t], trace_recon[t] = loss_terms(m, x, ks, cfg.nd, theta)
             return total
 
         lr = cfg.lr_at(t)
         try:
             record = evaluate_with_gradient(objective, m.params)
-        except NonFiniteLossError as e:
+        except (NonFiniteLossError, FlowEvalError) as e:
             last = _last_finite(trace_nll, trace_recon, t)
             raise TrainDivergenceError(
-                f"non-finite loss at iteration {t} ({e}); "
+                f"training diverged at iteration {t}: {e}; "
                 f"last finite terms: {last}") from e
         theta, state = adam_step(state, m.params.values, record.gradient, lr)
         m.set_params(theta)
-        trace_nll[t] = float(parts["nll"].value)
-        trace_recon[t] = _term_value(parts["recon"])
         trace_lr[t] = lr
     seconds = time.perf_counter() - started
     trace = TrainTrace(iteration=it, nll_term=trace_nll,
@@ -170,10 +167,6 @@ def train(m: FlowModel, train_points: np.ndarray, cfg: TrainConfig,
     per_step = seconds / cfg.iterations if cfg.iterations else 0.0
     return TrainResult(model=m, trace=trace, seconds=seconds,
                        seconds_per_step=per_step)
-
-
-def _term_value(term) -> float:
-    return float(term.value) if hasattr(term, "value") else float(term)
 
 
 def _last_finite(nll, recon, t) -> str:

@@ -159,6 +159,25 @@ def test_train_on_unreadable_sidecar_exits_one(tmp_path, capsys, damage):
     assert err.startswith("error:") and str(meta_path) in err
 
 
+def test_train_on_csv_that_is_not_utf8_exits_one(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    csv_path = data_dir / "dataset.csv"
+    lines = csv_path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    csv_path.write_bytes(b"\n".join(lines))
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(csv_path)})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error:") and f"{csv_path}: line 2" in err
+
+
 def test_eval_pca_baseline(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)

@@ -120,6 +120,13 @@ def test_load_rejects_non_numeric_cell(tmp_path):
         load_dataset(path)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1.0,2.0\n\xff3.0,4.0\n")
+    with pytest.raises(DatasetFormatError, match="latin.csv: line 2 is not UTF-8"):
+        load_dataset(path)
+
+
 def test_load_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")

@@ -151,11 +151,39 @@ def test_train_accepts_dataset_objects():
 
 
 def test_divergence_reports_iteration_and_last_terms():
+    """A failure points at where it started: the iteration, the transform
+    whose output went non-finite, and the last finite loss terms."""
     m = build_qr_flow(2, np.random.default_rng(15))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrainDivergenceError, match="iteration"):
+        with pytest.raises(TrainDivergenceError,
+                           match=r"iteration 1: non-finite forward output of "
+                                 r"transform 0 \(qr_linear\); last finite terms: "
+                                 r"iteration 0: nll="):
             train(m, training_data(), TrainConfig(50, 16, 1e9),
                   np.random.default_rng(16))
+
+
+def test_divergence_names_inverse_transform():
+    """A reconstruction pass that overflows names the inverse direction."""
+    m = build_qr_flow(2, np.random.default_rng(15), offset=True)
+    # the triangular factor's diagonal is exp(-700), so its inverse overflows
+    m.set_params(np.concatenate([np.zeros(2), m.params.values[2:-2], [-700.0, -700.0]]))
+    nd = NestedDropoutConfig(lam=1.0, schedule=GeometricSchedule(p=0.5, K=2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainDivergenceError,
+                           match=r"iteration 0: non-finite inverse output of "
+                                 r"transform 1 \(qr_linear\)"):
+            train(m, training_data(), TrainConfig(5, 16, 1e-2, nd=nd),
+                  np.random.default_rng(16))
+
+
+def test_zero_householder_vector_is_not_a_divergence():
+    """A ZeroDivisionError from a layer passes through train as itself."""
+    m = build_qr_flow(2, np.random.default_rng(15))
+    m.set_params(np.concatenate([np.zeros(2), m.params.values[2:]]))
+    with pytest.raises(ZeroDivisionError, match="Householder"):
+        train(m, training_data(), TrainConfig(5, 16, 1e-2),
+              np.random.default_rng(16))
 
 
 def test_trace_csv_layout(tmp_path):
