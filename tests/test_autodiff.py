@@ -12,7 +12,13 @@ from nestedflow.autodiff import (
     loss_value,
 )
 from nestedflow.coupling import build_multiscale_flow
-from nestedflow.flows import LULinearTransform, QRLinearTransform
+from nestedflow.flows import (
+    FlowEvalError,
+    FlowModel,
+    LULinearTransform,
+    OffsetTransform,
+    QRLinearTransform,
+)
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
 from test_acceptance import gradient_instance
 
@@ -83,6 +89,88 @@ def transform_loss(t, direction, rows, weight):
         return ad.record(value, ((theta, vjp),), f"{t.kind}_{direction}")
 
     return loss
+
+
+def objective(m, x, lam):
+    """The nested-dropout loss of ``m`` on the rows ``x`` as a function of
+    theta, with fixed truncation indices."""
+    cfg = NestedDropoutConfig(lam=lam, schedule=GeometricSchedule(p=0.5, K=m.dim))
+    ks = np.arange(x.shape[0]) % m.dim + 1
+    return lambda theta: loss_terms(m, x, ks, cfg, theta)[0]
+
+
+def scalar_losses():
+    """Each piece of the reverse sweep in a loss of its own: builders of
+    ``(loss, theta)``."""
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((3, 4))
+    w = rng.standard_normal((3, 4))
+
+    def stack(*transforms):
+        n = sum(size for t in transforms for _, size in t.param_blocks)
+        m = FlowModel(4, transforms, np.zeros(n))
+        return m, params(0.3 * rng.standard_normal(n))
+
+    def coupling_flow():
+        m = build_multiscale_flow(4, 1, 2, rng, hidden_width=3)
+        return m, params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
+
+    def rows_and_span(t):
+        n = sum(size for _, size in t.param_blocks)
+        return params(np.concatenate([0.3 * rng.standard_normal(n),
+                                      rng.standard_normal(4)]))
+
+    def arithmetic():
+        # the loss terms: NLL plus lambda times the masked reconstruction
+        m, theta = stack(OffsetTransform(4))
+        return objective(m, a, 3.0), theta
+
+    def axis_sum():
+        # an offset's gradient sums over the rows, here weighted apart
+        t = OffsetTransform(4)
+        return transform_loss(t, "forward", a, w), rows_and_span(t)
+
+    def entries():
+        # the LU map built entry by entry from every factor, inverted
+        t = LULinearTransform(4, [2, 0, 3, 1])
+        return transform_loss(t, "inverse", a, w), rows_and_span(t)
+
+    def gather():
+        # couplings gather their identity and transformed columns
+        m, theta = coupling_flow()
+        return objective(m, a, 2.0), theta
+
+    def inner():
+        # the conditioner's hidden layers, back-propagated from the inverse
+        t = coupling_flow()[0].transforms[1]
+        return transform_loss(t, "inverse", a, w), rows_and_span(t)
+
+    def matrix():
+        # a QR map used both ways: the forward and inverse dL/dA add up
+        m, theta = stack(QRLinearTransform(4, 2))
+        return objective(m, a, 5.0), theta
+
+    def sliced():
+        # each transform of a stack writes its own slice of the gradient
+        m, theta = stack(OffsetTransform(4), QRLinearTransform(4, 1),
+                         LULinearTransform(4, [3, 1, 0, 2]), OffsetTransform(4))
+        return objective(m, a, 5.0), theta
+
+    def transcendental():
+        # exp(s) on the LU diagonal forward, divided by on the way back
+        m, theta = stack(LULinearTransform(4, [1, 3, 0, 2]))
+        return objective(m, a, 5.0), theta
+
+    return [arithmetic, transcendental, matrix, gather, inner,
+            sliced, entries, axis_sum]
+
+
+@pytest.mark.parametrize("problem", scalar_losses(), ids=lambda f: f.__name__)
+def test_primitives_match_finite_differences(problem):
+    loss, theta = problem()
+    rec = evaluate_with_gradient(loss, theta)
+    fd = finite_difference_gradient(loss, theta, step=1e-6)
+    assert rel_err(rec.gradient, fd) < 1e-5
 
 
 @pytest.mark.parametrize("lower", [True, False])
@@ -157,6 +245,20 @@ def test_loss_terms_records_one_node():
         node = loss_terms(m, x, ks, cfg, ad.Var(m.params.values))[0]
         assert tape == [node] and len(node.parents) == 1
     assert node.value == plain
+
+
+def test_nonfinite_loss_names_first_bad_op():
+    """A loss that overflows names the first transform whose output went
+    non-finite, and the direction it ran in."""
+    layers = [LULinearTransform(2, [0, 1]) for _ in range(3)]
+    values = np.zeros(12)
+    values[2:4] = values[6:8] = 400.0  # exp(400)^2 overflows in transform 1
+    m = FlowModel(2, layers, values)
+    loss = objective(m, np.ones((2, 2)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FlowEvalError,
+                          match=r"^non-finite forward output of transform 1 \(lu_linear\)$"):
+        evaluate_with_gradient(loss, m.params)
 
 
 def test_nonfinite_gradient_detected():
