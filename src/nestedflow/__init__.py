@@ -5,7 +5,7 @@ dimensions by importance, recovering PCA-like structure from a generic
 invertible model.  The package provides LU and QR linear flows, affine
 coupling multi-scale flows, the nested-dropout objective, Adam training,
 a PCA baseline, and evaluation tools, all on top of numpy.  Transforms
-carry hand-written VJPs; the objective is one tape node whose VJP runs
+carry hand-written VJPs; the objective's gradient is one call of its VJP,
 an explicit reverse sweep through the flow's inverse and forward passes.
 """
 

@@ -1,8 +1,9 @@
 """Experiment configuration: JSON documents under a strict schema.
 
 Unknown keys are rejected everywhere so that stored run configs stay
-unambiguous.  ``load_config``/``validate_config`` raise ConfigError with
-the JSON path of the first offending field.
+unambiguous, and so are non-finite numbers (``NaN``, ``Infinity``,
+``1e400``), which no setting accepts.  ``load_config``/``validate_config``
+raise ConfigError with the JSON path of the first offending field.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 import jsonschema
 
@@ -159,14 +161,29 @@ class ConfigError(ValueError):
     """Invalid configuration document; message names the offending field."""
 
 
+def _where(path) -> str:
+    """A path into the document as messages name it: config.train.lr_initial."""
+    json_path = jsonschema.exceptions.ValidationError("", path=path).json_path
+    return json_path.replace("$", "config", 1)
+
+
+def _reject_non_finite(doc, path=()):
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise ConfigError(f"{_where(path)}: non-finite number {doc}")
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        _reject_non_finite(value, path + (key,))
+
+
 def validate_config(doc: dict, schema: dict = EXPERIMENT_SCHEMA) -> dict:
+    _reject_non_finite(doc)
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: len(e.absolute_path),
                     reverse=True)
     best = jsonschema.exceptions.best_match(errors)
     if best is not None:
-        where = best.json_path.replace("$", "config", 1)
-        raise ConfigError(f"{where}: {best.message}")
+        raise ConfigError(f"{_where(best.absolute_path)}: {best.message}")
     return doc
 
 

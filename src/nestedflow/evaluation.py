@@ -37,18 +37,20 @@ def bits_per_dim(ll_nats: float, dim: int) -> float:
 def mse_curve(m: FlowModel, x: np.ndarray, order) -> np.ndarray:
     """Per-dimension reconstruction MSE at every truncation level k = 1..K.
 
-    One forward pass; one masked inverse pass per k.
+    The transforms' weights are built once; then one forward pass and one
+    masked inverse pass per k.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")
     k_dim = m.dim
     order = as_order(order, k_dim)
-    z = np.asarray(m.forward_batch(x)[0])
+    ws = m.weights()
+    z = np.asarray(m.forward_pass(ws, x)[0])
     out = np.empty(k_dim)
     for k in range(1, k_dim + 1):
         mask = keep_mask(k, order, k_dim).astype(np.float64)
-        x_rec = np.asarray(m.inverse_batch(z * mask))
+        x_rec = np.asarray(m.inverse_pass(ws, z * mask))
         diff = x_rec - x
         out[k - 1] = np.mean(np.sum(diff * diff, axis=1)) / k_dim
     return out

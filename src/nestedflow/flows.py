@@ -16,8 +16,8 @@ A transform's protocol, all in numpy:
   forward and the inverse application, to the span's gradient.
 
 :meth:`FlowModel.forward_pass` and :meth:`FlowModel.inverse_pass` collect
-the ``back`` closures when asked, and :meth:`FlowModel.inverse_backward`
-and :meth:`FlowModel.forward_backward` run them in reverse: the explicit
+the ``back`` closures when asked, and :meth:`FlowModel.inverse_vjp` and
+:meth:`FlowModel.forward_vjp` run them in reverse: the explicit
 sweep that differentiates the nested-dropout loss.  Both passes check
 every transform's output, in training as in evaluation, and raise
 :class:`FlowEvalError` naming the transform index, kind and direction.
@@ -294,7 +294,7 @@ class FlowModel:
         return len(self.params)
 
     def set_params(self, values: np.ndarray):
-        self.params = self.params.with_values(np.asarray(values, dtype=np.float64))
+        self.params = ParameterVector(values)
 
     def weights(self, theta=None) -> list:
         """Each transform's weights on its span of the plain parameter array
@@ -334,7 +334,7 @@ class FlowModel:
             del back  # frees an uncollected cache before the next layer runs
         return x
 
-    def inverse_backward(self, backs, g):
+    def inverse_vjp(self, backs, g):
         """Back through an inverse pass from the gradient of its output:
         returns each transform's weights gradient and the gradient of the
         pass's input."""
@@ -344,7 +344,7 @@ class FlowModel:
             gws.append(gw)
         return gws, g
 
-    def forward_backward(self, ws, backs, g_z, g_logdet, inverse_gws=None):
+    def forward_vjp(self, ws, backs, g_z, g_logdet, inverse_gws=None):
         """Back through a forward pass from the gradients of its latents and
         of its per-row log-determinants, adding each transform's weights
         gradient from ``inverse_gws``; returns the flat parameter gradient,

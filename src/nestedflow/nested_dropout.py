@@ -107,12 +107,12 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     reconstruction pass is skipped entirely and the total is exactly the
     mean NLL.
 
-    Everything runs in numpy, at ``theta`` (a plain array, a tape node or
-    None for the model's parameters).  When ``theta`` is a node under
-    recording, ``total`` is one tape node whose VJP is the explicit reverse
-    sweep: the loss terms, then the inverse pass backwards, then the
-    forward pass backwards, each transform writing its span of the
-    gradient.
+    Everything runs in numpy, at ``theta`` (a plain array, an
+    :class:`~nestedflow.autodiff.Var` or None for the model's parameters).
+    When ``theta`` is a ``Var``, ``total`` is a ``Var`` over it whose VJP is
+    the explicit reverse sweep: the loss terms, then the inverse pass
+    backwards, then the forward pass backwards, each transform writing its
+    span of the gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
@@ -135,10 +135,11 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
         inverse_gws = None
         if penalised:
             g_rec = np.multiply(g * cfg.lam * (1.0 / (n * d)), 2.0 * diff)
-            inverse_gws, g_masked = m.inverse_backward(inverse_backs, g_rec)
+            inverse_gws, g_masked = m.inverse_vjp(inverse_backs, g_rec)
             g_z = g_z + np.multiply(g_masked, mask)
-        return m.forward_backward(ws, forward_backs, g_z, np.full(n, g_rows),
-                                  inverse_gws)
+        return m.forward_vjp(ws, forward_backs, g_z, np.full(n, g_rows),
+                             inverse_gws)
 
-    total = ad.record(total, ((theta, sweep),), "loss_terms")
+    if isinstance(theta, ad.Var):
+        total = ad.Var(total, ((theta, sweep),))
     return total, float(nll_mean), float(recon_mean)

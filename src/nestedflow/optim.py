@@ -3,7 +3,7 @@
 Training is deterministic given (config, rng): per iteration the loop draws
 batch indices with replacement, then truncation indices (when the
 reconstruction penalty is active), evaluates the objective and its gradient
-(one tape node, whose VJP is the flow's explicit reverse sweep), and
+(one call of the objective's VJP, the flow's explicit reverse sweep), and
 applies one bias-corrected Adam step.  The loss terms and learning rate of
 every iteration are recorded as a trace.
 """

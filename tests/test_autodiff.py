@@ -9,7 +9,6 @@ from nestedflow.autodiff import (
     ParameterVector,
     evaluate_with_gradient,
     finite_difference_gradient,
-    loss_value,
 )
 from nestedflow.coupling import build_multiscale_flow
 from nestedflow.flows import (
@@ -18,6 +17,7 @@ from nestedflow.flows import (
     LULinearTransform,
     OffsetTransform,
     QRLinearTransform,
+    build_qr_flow,
 )
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
 from test_acceptance import gradient_instance
@@ -32,10 +32,12 @@ def rel_err(got, want):
 
 
 def scaled_square_sum(theta, scale=1.0):
-    """scale * sum(theta^2) as one recorded node over theta."""
+    """scale * sum(theta^2); a Var over theta when theta is one."""
     v = getattr(theta, "value", theta)
-    return ad.record(scale * np.sum(np.square(v)),
-                     ((theta, lambda g: g * scale * 2.0 * v),), "scaled_square_sum")
+    value = scale * np.sum(np.square(v))
+    if isinstance(theta, ad.Var):
+        return ad.Var(value, ((theta, lambda g: g * scale * 2.0 * v),))
+    return value
 
 
 def test_sum_of_squares_value_and_gradient():
@@ -45,26 +47,27 @@ def test_sum_of_squares_value_and_gradient():
 
 
 def test_gradient_linearity():
-    """A node reached through two paths gets the sum of their gradients."""
+    """The objective is NLL + lambda * recon, so its gradient is affine in
+    lambda: g(3) = g(0) + 3 (g(1) - g(0)), on a QR and a coupling flow."""
     rng = np.random.default_rng(0)
-    theta = params(rng.standard_normal(4))
+    for m in (build_qr_flow(3, rng, offset=True),
+              build_multiscale_flow(4, 1, 2, rng, hidden_width=3)):
+        theta = params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
+        x = rng.standard_normal((5, m.dim))
 
-    def combo(t):
-        f, g = scaled_square_sum(t), scaled_square_sum(t, 0.1)
-        return ad.record(2.0 * f.value - 3.0 * g.value,
-                         ((f, lambda d: 2.0 * d), (g, lambda d: -3.0 * d)), "combo")
+        def grad(lam):
+            return evaluate_with_gradient(objective(m, x, lam), theta).gradient
 
-    gf = evaluate_with_gradient(scaled_square_sum, theta).gradient
-    gg = evaluate_with_gradient(lambda t: scaled_square_sum(t, 0.1), theta).gradient
-    gc = evaluate_with_gradient(combo, theta).gradient
-    np.testing.assert_allclose(gc, 2.0 * gf - 3.0 * gg, rtol=1e-12)
+        g0, g1 = grad(0.0), grad(1.0)
+        np.testing.assert_allclose(grad(3.0), g0 + 3.0 * (g1 - g0), rtol=1e-10)
 
 
 def transform_loss(t, direction, rows, weight):
     """A loss of one transform applied to ``rows`` shifted by the last D
     entries of theta, whose first entries are the transform's span:
     sum(weight * y^2), plus half the squared per-row log-determinant going
-    forward.  One node whose VJP runs the transform's back closure."""
+    forward.  Given a Var, a Var over it whose VJP runs the transform's
+    back closure."""
     n_span = sum(size for _, size in t.param_blocks)
 
     def loss(theta):
@@ -86,7 +89,9 @@ def transform_loss(t, direction, rows, weight):
             gw, gx = back(*args)
             return np.concatenate([t.weights_vjp(w, gw), gx.sum(axis=0)])
 
-        return ad.record(value, ((theta, vjp),), f"{t.kind}_{direction}")
+        if isinstance(theta, ad.Var):
+            return ad.Var(value, ((theta, vjp),))
+        return value
 
     return loss
 
@@ -209,41 +214,29 @@ def test_householder_rows_gradients():
 
 
 def test_loss_value_matches_gradient_evaluation():
-    """Plain evaluation and the taped one run the same arithmetic."""
+    """Plain evaluation and the one with a gradient run the same arithmetic."""
     cases = [(scaled_square_sum, params([0.1, 0.2]))]
     cases += [gradient_instance(kind, seed)
               for kind in ("qr-linear", "lu-linear", "coupling", "combined")
               for seed in range(3)]
     for loss, theta in cases:
-        assert loss_value(loss, theta) == evaluate_with_gradient(loss, theta).value
-
-
-def test_record_returns_a_node_only_when_recording_a_node():
-    v = np.arange(3.0)
-    leaf = ad.Var(v)
-    pairs = ((leaf, lambda g: g), (v, lambda g: g))
-    assert isinstance(ad.record(v * 2.0, pairs, "double"), np.ndarray)
-    with ad._Recording() as tape:
-        out = ad.record(v * 2.0, ((v, lambda g: g),), "double")
-        assert tape == [] and isinstance(out, np.ndarray)
-        node = ad.record(v * 2.0, pairs, "double")
-        assert tape == [node] and len(node.parents) == 1
-        assert node.parents[0][0] is leaf
+        assert float(loss(theta.values)) == evaluate_with_gradient(loss, theta).value
 
 
 def test_loss_terms_records_one_node():
-    """The whole objective is one tape node over the parameters; without a
-    node among its inputs nothing is taped and the value comes back plain."""
+    """The whole objective is one Var whose only parent is the parameters;
+    given a plain array the value comes back plain."""
     rng = np.random.default_rng(2)
     m = build_multiscale_flow(4, 1, 2, rng, hidden_width=3)
     x = rng.standard_normal((5, 4))
     cfg = NestedDropoutConfig(lam=3.0, schedule=GeometricSchedule(p=0.5, K=4))
     ks = rng.integers(1, 5, size=5)
-    with ad._Recording() as tape:
-        plain = loss_terms(m, x, ks, cfg, m.params.values)[0]
-        assert tape == [] and isinstance(plain, np.floating)
-        node = loss_terms(m, x, ks, cfg, ad.Var(m.params.values))[0]
-        assert tape == [node] and len(node.parents) == 1
+    plain = loss_terms(m, x, ks, cfg, m.params.values)[0]
+    assert isinstance(plain, np.floating)
+    leaf = ad.Var(m.params.values)
+    node = loss_terms(m, x, ks, cfg, leaf)[0]
+    assert isinstance(node, ad.Var)
+    assert len(node.parents) == 1 and node.parents[0][0] is leaf
     assert node.value == plain
 
 
@@ -272,6 +265,28 @@ def test_nonfinite_gradient_detected():
 def test_loss_must_be_var():
     with pytest.raises(TypeError):
         evaluate_with_gradient(lambda theta: 3.0, params([1.0]))
+    other = ad.Var(np.ones(1))
+    with pytest.raises(TypeError):
+        evaluate_with_gradient(lambda theta: scaled_square_sum(other), params([1.0]))
+
+
+def test_gradient_evaluation_inside_a_loss():
+    """A loss may evaluate another gradient while it runs; both get the
+    serial result."""
+    theta = params([0.5, -1.5])
+    serial = evaluate_with_gradient(scaled_square_sum, theta)
+    inner = []
+
+    def loss(t):
+        inner.append(evaluate_with_gradient(lambda u: scaled_square_sum(u, 0.1), theta))
+        return scaled_square_sum(t)
+
+    outer = evaluate_with_gradient(loss, theta)
+    assert outer.value == serial.value
+    assert np.array_equal(outer.gradient, serial.gradient)
+    want = evaluate_with_gradient(lambda u: scaled_square_sum(u, 0.1), theta)
+    assert inner[0].value == want.value
+    assert np.array_equal(inner[0].gradient, want.gradient)
 
 
 def test_nonfinite_parameters_rejected():

@@ -344,6 +344,29 @@ def test_invalid_config_exits_one(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token,shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                         ("1e400", "inf")])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_non_finite_config_number_exits_one(tmp_path, capsys, command, token,
+                                             shown):
+    """json reads NaN, Infinity and the overflowing 1e400; the config is
+    rejected with the field's path before any run directory exists."""
+    cfg = write_config(tmp_path / "base.json")
+    if command == "train":
+        cfg["train"]["lr_initial"] = "@"
+        where = "config.train.lr_initial"
+    else:
+        cfg = {"base": cfg, "grid": {"train.lr_initial": [0.01, "@"]}}
+        where = "config.grid['train.lr_initial'][1]"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"@"', token))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: non-finite number {shown}\n"
+    assert not out.exists()
+
+
 def test_missing_dataset_file_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, dataset={"path": str(tmp_path / "nope.csv")})
@@ -495,6 +518,40 @@ def test_sweep_worker_env(tmp_path, monkeypatch):
                  "--output", str(out)]) == 0
     lines = (out / "aggregate.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
+    """A sweep run by two worker processes writes every child's files and
+    the aggregate table byte for byte as a serial sweep does."""
+    base = write_config(tmp_path / "base.json",
+                        train={"iterations": 60, "batch_size": 16,
+                               "lr_initial": 0.01},
+                        nd={"lambda": 0.0, "p": 0.33})
+    sweep = {"base": base, "seeds": [0, 1],
+             "grid": {"model.kind": ["qr-linear", "lu-linear"],
+                      "nd.lambda": [0.0, 20.0]}}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    outs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NESTEDFLOW_THREADS", threads)
+        outs[threads] = tmp_path / f"threads{threads}"
+        assert main(["sweep", "--config", str(cfg_path),
+                     "--output", str(outs[threads])]) == 0
+    serial, parallel = outs["1"], outs["2"]
+    children = sorted(p.name for p in serial.iterdir() if p.is_dir())
+    assert len(children) == 8
+    assert children == sorted(p.name for p in parallel.iterdir() if p.is_dir())
+    for name in children:
+        for file in ("checkpoint.json", "trace.csv"):
+            assert (serial / name / file).read_bytes() == \
+                (parallel / name / file).read_bytes()
+        assert deterministic_report_bytes(serial / name / "report.json") == \
+            deterministic_report_bytes(parallel / name / "report.json")
+    aggregate = [(out / "aggregate.csv").read_text().replace(str(out), "")
+                 for out in (serial, parallel)]
+    assert aggregate[0] == aggregate[1]
+    assert aggregate[0].count(",ok,") == 8
 
 
 def test_invalid_worker_env(monkeypatch):

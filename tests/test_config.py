@@ -168,3 +168,28 @@ def test_sweep_schema():
     with pytest.raises(ConfigError):
         validate_config({"base": base, "grid": {"nd.lambda": [1]},
                          "seeds": []}, SWEEP_SCHEMA)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_name_the_field(value):
+    shown = f"non-finite number {value}$"
+    cfg = minimal_config()
+    cfg["nd"] = {"lambda": value, "p": 0.5}
+    with pytest.raises(ConfigError, match=r"^config\.nd\.lambda: " + shown):
+        validate_config(cfg)
+    cfg = minimal_config()
+    cfg["model"] = {"kind": "coupling-multiscale", "levels": 1,
+                    "couplings_per_level": 1, "log_scale_bound": value}
+    with pytest.raises(ConfigError,
+                       match=r"^config\.model\.log_scale_bound: " + shown):
+        validate_config(cfg)
+    base = minimal_config()
+    sweep = {"base": base, "grid": {"nd.lambda": [0.0, value]}}
+    with pytest.raises(ConfigError,
+                       match=r"^config\.grid\['nd\.lambda'\]\[1\]: " + shown):
+        validate_config(sweep, SWEEP_SCHEMA)
+    base["train"]["lr_initial"] = value
+    sweep["grid"]["nd.lambda"] = [0.0]
+    with pytest.raises(ConfigError,
+                       match=r"^config\.base\.train\.lr_initial: " + shown):
+        validate_config(sweep, SWEEP_SCHEMA)

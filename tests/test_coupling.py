@@ -192,8 +192,8 @@ def test_fused_coupling_gradient_matches_finite_differences(problem):
 @given(multiscale_problems())
 def test_tracked_coupling_values_equal_untracked(problem):
     """Training and evaluation compute the same function, bit for bit: the
-    taped loss equals the plain one, and its NLL term the flow's mean
-    log likelihood."""
+    loss evaluated with its gradient equals the plain one, and its NLL
+    term the flow's mean log likelihood."""
     m, x, ks, cfg = problem
 
     def loss(theta):
@@ -218,7 +218,7 @@ def count_graph_nodes(loss):
 @settings(max_examples=30, deadline=None)
 @given(multiscale_problems())
 def test_loss_records_few_nodes_per_coupling(problem):
-    """However many couplings, a loss evaluation tapes two nodes: the
+    """However many couplings, a loss evaluation builds two nodes: the
     parameters and the loss.  With a fused node per coupling application
     it took up to 15 + 4 per application, and a conditioner composed from
     elementwise primitives about 28 each."""

@@ -16,8 +16,9 @@ from nestedflow.evaluation import (
     save_curve_csv,
     save_report,
 )
-from nestedflow.flows import FlowModel, OffsetTransform, build_qr_flow
-from nestedflow.nested_dropout import identity_order, reversed_order
+from nestedflow.coupling import build_multiscale_flow
+from nestedflow.flows import FlowModel, OffsetTransform, build_lu_flow, build_qr_flow
+from nestedflow.nested_dropout import identity_order, keep_mask, reversed_order
 
 
 def identity_model(dim=3):
@@ -68,6 +69,37 @@ def test_mse_curve_full_rank_vanishes_for_invertible_models():
     curve = mse_curve(m, x, identity_order(3))
     assert curve[-1] <= 1e-10
     assert np.all(curve >= 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: build_qr_flow(4, rng, offset=True),
+    lambda rng: build_lu_flow(4, rng, offset=True),
+    lambda rng: build_multiscale_flow(4, 2, 2, rng, hidden_width=5),
+], ids=["qr", "lu", "coupling"])
+def test_mse_curve_builds_weights_once(build):
+    """One curve builds the weights once, and equals, bit for bit, the
+    curve from a forward_batch and one inverse_batch per k."""
+    rng = np.random.default_rng(3)
+    m = build(rng)
+    m.set_params(m.params.values + 0.2 * rng.standard_normal(m.n_params))
+    x = rng.standard_normal((30, 4))
+    order = rng.permutation(4)
+    want = np.empty(4)
+    z = m.forward_batch(x)[0]
+    for k in range(1, 5):
+        diff = m.inverse_batch(z * keep_mask(k, order, 4)) - x
+        want[k - 1] = np.mean(np.sum(diff * diff, axis=1)) / 4
+    calls = []
+    weights = m.weights
+
+    def spy(*args):
+        calls.append(args)
+        return weights(*args)
+
+    m.weights = spy
+    got = mse_curve(m, x, order)
+    assert len(calls) == 1
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mse_curve_rejects_empty():

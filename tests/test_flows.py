@@ -278,8 +278,8 @@ def test_fused_linear_round_trip_and_logdet(problem):
 @given(linear_problems())
 def test_tracked_linear_values_equal_untracked(problem):
     """Training and evaluation compute the same function, bit for bit: the
-    taped loss equals the plain one, and its NLL term the flow's mean
-    log likelihood."""
+    loss evaluated with its gradient equals the plain one, and its NLL
+    term the flow's mean log likelihood."""
     m, x, ks, cfg = problem
 
     def loss(theta):
@@ -293,7 +293,7 @@ def test_tracked_linear_values_equal_untracked(problem):
 @pytest.mark.parametrize("kind", ["qr", "lu"])
 def test_linear_step_records_at_most_20_nodes(kind):
     """One loss-and-gradient evaluation of a 3-D linear flow at lambda 20
-    tapes two nodes: the parameters and the loss, whose VJP runs the
+    builds two nodes: the parameters and the loss, whose VJP runs the
     reverse sweep.  Composed from generic primitives the qr step took 43
     nodes, and with fused layer nodes 19."""
     m = random_model(kind, 3, 0)
