@@ -2,8 +2,9 @@
 
 Unknown keys are rejected everywhere so that stored run configs stay
 unambiguous, and so are non-finite numbers (``NaN``, ``Infinity``,
-``1e400``), which no setting accepts.  ``load_config``/``validate_config``
-raise ConfigError with the JSON path of the first offending field.
+``1e400``) and integers outside int64, which no setting accepts.
+``load_config``/``validate_config`` raise ConfigError with the JSON path of
+the first offending field.
 """
 
 from __future__ import annotations
@@ -167,17 +168,19 @@ def _where(path) -> str:
     return json_path.replace("$", "config", 1)
 
 
-def _reject_non_finite(doc, path=()):
+def _reject_unrepresentable(doc, path=()):
     if isinstance(doc, float) and not math.isfinite(doc):
         raise ConfigError(f"{_where(path)}: non-finite number {doc}")
+    if isinstance(doc, int) and not -2**63 <= doc < 2**63:
+        raise ConfigError(f"{_where(path)}: integer out of range [-2**63, 2**63 - 1]")
     items = doc.items() if isinstance(doc, dict) else \
         enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
-        _reject_non_finite(value, path + (key,))
+        _reject_unrepresentable(value, path + (key,))
 
 
 def validate_config(doc: dict, schema: dict = EXPERIMENT_SCHEMA) -> dict:
-    _reject_non_finite(doc)
+    _reject_unrepresentable(doc)
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: len(e.absolute_path),
                     reverse=True)
@@ -191,7 +194,7 @@ def load_config(path, schema: dict = EXPERIMENT_SCHEMA) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also bytes that are not UTF-8, over-long integers
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return validate_config(doc, schema)
 

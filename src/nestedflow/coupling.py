@@ -83,13 +83,17 @@ class AffineCouplingTransform:
     def _conditioner(self, w, xa):
         """Hidden activations, tanh(s_raw), log-scale s and shift t."""
         w1, b1, w2, b2, w3, b3 = w
-        h1 = np.tanh(np.add(np.matmul(xa, w1), b1))
-        h2 = np.tanh(np.add(np.matmul(h1, w2), b2))
-        out = np.add(np.matmul(h2, w3), b3)
+        h1 = np.matmul(xa, w1)
+        np.tanh(np.add(h1, b1, out=h1), out=h1)
+        h2 = np.matmul(h1, w2)
+        np.tanh(np.add(h2, b2, out=h2), out=h2)
+        out = np.matmul(h2, w3)
+        np.add(out, b3, out=out)
         # Gather (not slice) the s columns: that makes s column-major, and
         # row sums over that layout reproduce recorded log-determinants
         # bit for bit.
-        ts = np.tanh(out[:, self._s_cols])
+        ts = out[:, self._s_cols]
+        np.tanh(ts, out=ts)
         return h1, h2, ts, np.multiply(ts, self.log_scale_bound), out[:, ts.shape[1]:]
 
     def _conditioner_vjp(self, w, xa, h1, h2, ts, g_s, g_t):
@@ -109,24 +113,21 @@ class AffineCouplingTransform:
         ])
         return g_local, np.matmul(g_pre1, w1.T)
 
-    def _assemble(self, keep, changed):
-        out = np.empty((keep.shape[0], self.dim))
-        out[:, self.identity_idx] = keep
-        out[:, self.transformed_idx] = changed
-        return out
-
     def forward(self, w, x):
         xa, xb = x[:, self.identity_idx], x[:, self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, xa)
         es = np.exp(s)
-        z = self._assemble(xa, np.add(np.multiply(xb, es), t))
+        z = x.copy()  # the A columns pass through
+        z[:, self.transformed_idx] = np.add(np.multiply(xb, es), t)
 
         def back(gz, g_logdet):
             gzb = gz[:, self.transformed_idx]
             g_s = g_logdet[:, None] + np.multiply(np.multiply(gzb, xb), es)
             g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb)
-            return g_local, self._assemble(gz[:, self.identity_idx] + g_xa,
-                                           np.multiply(gzb, es))
+            gx = gz.copy()
+            gx[:, self.identity_idx] += g_xa
+            gx[:, self.transformed_idx] = np.multiply(gzb, es)
+            return g_local, gx
 
         return z, np.sum(s, axis=1), back
 
@@ -135,14 +136,18 @@ class AffineCouplingTransform:
         h1, h2, ts, s, t = self._conditioner(w, za)
         d = np.subtract(zb, t)
         e = np.exp(np.multiply(s, -1.0))
-        x = self._assemble(za, np.multiply(d, e))
+        x = z.copy()  # the A columns pass through
+        x[:, self.transformed_idx] = np.multiply(d, e)
 
         def back(g):
             gxb = g[:, self.transformed_idx]
             g_d = np.multiply(gxb, e)
             g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
             g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d)
-            return g_local, self._assemble(g[:, self.identity_idx] + g_za, g_d)
+            gz = g.copy()
+            gz[:, self.identity_idx] += g_za
+            gz[:, self.transformed_idx] = g_d
+            return g_local, gz
 
         return x, back
 

@@ -126,10 +126,10 @@ def gen_toy_hierarchical(dim: int, n: int, seed: int) -> Dataset:
 
 def save_dataset(d: Dataset, path):
     path = Path(path)
+    row_format = ",".join(["%.17g"] * d.dim) + "\n"
     with open(path, "w") as f:
-        for row in d.points:
-            f.write(",".join(format(v, ".17g") for v in row))
-            f.write("\n")
+        for row in d.points:  # row by row: a whole-table tolist() costs memory
+            f.write(row_format % tuple(row.tolist()))
     meta = {
         "generator": d.provenance.get("generator"),
         "seed": d.provenance.get("seed"),

@@ -2,8 +2,10 @@
 
 Metrics: average log likelihood in nats and bits per dimension, and the
 reconstruction-MSE-versus-retained-dimensions curve for a given drop
-order.  A RunReport bundles the metrics with the drop order, config hash,
-and seed; wall-clock timings ride along in a separate section so that
+order.  A report makes one forward pass over its split, and one inverse
+pass per distinct set of kept latents across all its orders' curves.  A
+RunReport bundles the metrics with the drop order, config hash, and seed;
+wall-clock timings ride along in a separate section so that
 deterministic content can be compared byte for byte across reruns.
 """
 
@@ -15,16 +17,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import FlowModel
+from .flows import FlowModel, standard_normal_logpdf_rows
 from .nested_dropout import as_order, keep_mask
+
+
+def _evaluate(m: FlowModel, x: np.ndarray, orders) -> tuple[float, np.ndarray]:
+    """Mean log likelihood over the rows of x (nats), and each order's
+    per-dimension reconstruction MSE at k = 1..K, from one forward pass and
+    one masked inverse pass per distinct keep-set."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise ValueError("cannot evaluate an empty split")
+    ws = m.weights()
+    z, logdet = m.forward_pass(ws, x)
+    mse_of = {}  # keep-mask bytes -> MSE, shared by every (order, k) keeping it
+    curves = np.empty((len(orders), m.dim))
+    for i, order in enumerate(orders):
+        for k in range(1, m.dim + 1):
+            mask = keep_mask(k, order, m.dim).astype(np.float64)
+            key = mask.tobytes()
+            if key not in mse_of:
+                diff = m.inverse_pass(ws, z * mask) - x
+                mse_of[key] = np.mean(np.sum(diff * diff, axis=1)) / m.dim
+            curves[i, k - 1] = mse_of[key]
+    return float(np.mean(np.add(standard_normal_logpdf_rows(z), logdet))), curves
 
 
 def avg_log_likelihood(m: FlowModel, x: np.ndarray) -> float:
     """Mean log likelihood over the rows of x, in nats."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("cannot average over an empty split")
-    return float(np.mean(m.log_likelihood_batch(x)))
+    return _evaluate(m, x, [])[0]
 
 
 def bits_per_dim(ll_nats: float, dim: int) -> float:
@@ -35,25 +56,9 @@ def bits_per_dim(ll_nats: float, dim: int) -> float:
 
 
 def mse_curve(m: FlowModel, x: np.ndarray, order) -> np.ndarray:
-    """Per-dimension reconstruction MSE at every truncation level k = 1..K.
-
-    The transforms' weights are built once; then one forward pass and one
-    masked inverse pass per k.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("cannot evaluate an empty split")
-    k_dim = m.dim
-    order = as_order(order, k_dim)
-    ws = m.weights()
-    z = np.asarray(m.forward_pass(ws, x)[0])
-    out = np.empty(k_dim)
-    for k in range(1, k_dim + 1):
-        mask = keep_mask(k, order, k_dim).astype(np.float64)
-        x_rec = np.asarray(m.inverse_pass(ws, z * mask))
-        diff = x_rec - x
-        out[k - 1] = np.mean(np.sum(diff * diff, axis=1)) / k_dim
-    return out
+    """Per-dimension reconstruction MSE at every truncation level k = 1..K:
+    one forward pass and one masked inverse pass per k."""
+    return _evaluate(m, x, [as_order(order, m.dim)])[1][0]
 
 
 @dataclass(frozen=True)
@@ -94,20 +99,17 @@ def make_run_report(m: FlowModel, data, order, config_hash: str = "",
                     wall_clock: dict | None = None,
                     notes: dict | None = None) -> RunReport:
     """Evaluate a model on one dataset split under a primary drop order
-    (plus optional named extra orders)."""
-    x = data.get_split(split)
+    (plus optional named extra orders), sharing one forward pass."""
     order = as_order(order, m.dim)
-    ll = avg_log_likelihood(m, x)
-    curves = {}
-    for name, extra in (extra_orders or {}).items():
-        curves[name] = {
-            "order": as_order(extra, m.dim).tolist(),
-            "mse": mse_curve(m, x, extra).tolist(),
-        }
+    extra = {name: as_order(o, m.dim) for name, o in (extra_orders or {}).items()}
+    ll, (primary, *others) = _evaluate(m, data.get_split(split),
+                                       [order, *extra.values()])
+    curves = {name: {"order": o.tolist(), "mse": c.tolist()}
+              for (name, o), c in zip(extra.items(), others)}
     return RunReport(
         test_ll_nats=ll,
         test_bpd=bits_per_dim(ll, m.dim),
-        mse_curve=mse_curve(m, x, order),
+        mse_curve=primary,
         drop_order=np.asarray(order),
         config_hash=config_hash,
         seed=seed,

@@ -360,14 +360,13 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    workers = worker_count()
+    payloads = [(cfg, child_dir) for _, _, cfg, child_dir in jobs]
+    workers = min(worker_count(), len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_try_sweep_child,
-                                     [(cfg, child_dir) for _, _, cfg, child_dir in jobs]))
+            outcomes = list(pool.map(_try_sweep_child, payloads))
     else:
-        outcomes = [_try_sweep_child((cfg, child_dir))
-                    for _, _, cfg, child_dir in jobs]
+        outcomes = [_try_sweep_child(p) for p in payloads]
     for (params, seed, _, child_dir), outcome in zip(jobs, outcomes):
         row = {**{k: params[k] for k in keys}, "seed": seed,
                "run_dir": str(child_dir)}

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -367,6 +368,29 @@ def test_non_finite_config_number_exits_one(tmp_path, capsys, command, token,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,where", [
+    ("train", "iterations", "config.train.iterations"),
+    ("train", "batch_size", "config.train.batch_size"),
+    ("sweep", "batch_size", "config.grid['train.batch_size'][1]"),
+])
+def test_config_integer_outside_int64_exits_one(tmp_path, capsys, command, key,
+                                                where):
+    """An integer that no int64 holds is rejected with the field's path
+    before any run directory exists."""
+    cfg = write_config(tmp_path / "base.json")
+    if command == "train":
+        cfg["train"][key] = 10**30
+    else:
+        cfg = {"base": cfg, "grid": {f"train.{key}": [4, 2**63]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where}: integer out of range [-2**63, 2**63 - 1]\n"
+    assert not out.exists()
+
+
 def test_missing_dataset_file_exits_one(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, dataset={"path": str(tmp_path / "nope.csv")})
@@ -552,6 +576,40 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
                  for out in (serial, parallel)]
     assert aggregate[0] == aggregate[1]
     assert aggregate[0].count(",ok,") == 8
+
+
+def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
+    """The pool never has more workers than children (or CPUs); a
+    one-child sweep runs serially whatever NESTEDFLOW_THREADS says."""
+    import nestedflow.experiment as experiment
+    sizes = []
+
+    class RecordingPool:  # runs the children in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("NESTEDFLOW_THREADS", "5")
+    base = write_config(tmp_path / "base.json")
+    for n_children in (1, 2):
+        sizes.clear()
+        sweep = {"base": base, "grid": {"train.iterations": [2, 3][:n_children]}}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(sweep))
+        out = tmp_path / f"sweep{n_children}"
+        assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 0
+        assert (out / "aggregate.csv").read_text().count(",ok,") == n_children
+        workers = min(n_children, os.cpu_count() or 1)
+        assert sizes == ([workers] if workers > 1 else [])
 
 
 def test_invalid_worker_env(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,16 @@ def test_load_config_reports_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("content", [b'{"seed": ' + b"9" * 5000 + b"}",
+                                     b'{"output_dir": "\xff"}'],
+                         ids=["integer-too-long-to-parse", "not-utf8"])
+def test_load_config_names_the_file_when_json_cannot_be_read(tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: invalid JSON")):
         load_config(path)
 
 

@@ -88,6 +88,72 @@ def test_round_trip_with_random_conditioner():
     assert_allclose(inverse(t, p, z), x, atol=1e-8)
 
 
+def out_of_place_coupling(t, w, x, direction):
+    """A coupling's output and ``back`` written with every op allocating its
+    result and each output assembled by scattering both column sets; the
+    conditioner's backpropagation is the transform's own."""
+    w1, b1, w2, b2, w3, b3 = w
+    a_idx, b_idx, nb = t.identity_idx, t.transformed_idx, t.transformed_idx.size
+
+    def assemble(keep, changed):
+        out = np.empty((keep.shape[0], t.dim))
+        out[:, a_idx] = keep
+        out[:, b_idx] = changed
+        return out
+
+    xa, xb = x[:, a_idx], x[:, b_idx]
+    h1 = np.tanh(np.add(np.matmul(xa, w1), b1))
+    h2 = np.tanh(np.add(np.matmul(h1, w2), b2))
+    out = np.add(np.matmul(h2, w3), b3)
+    ts = np.tanh(out[:, np.arange(nb)])
+    s, shift = np.multiply(ts, t.log_scale_bound), out[:, nb:]
+    if direction == "forward":
+        es = np.exp(s)
+        z = assemble(xa, np.add(np.multiply(xb, es), shift))
+
+        def back(gz, g_logdet):
+            gzb = gz[:, b_idx]
+            g_s = g_logdet[:, None] + np.multiply(np.multiply(gzb, xb), es)
+            g_local, g_xa = t._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb)
+            return g_local, assemble(gz[:, a_idx] + g_xa, np.multiply(gzb, es))
+
+        return z, np.sum(s, axis=1), back
+    d = np.subtract(xb, shift)
+    e = np.exp(np.multiply(s, -1.0))
+
+    def back(g):
+        gxb = g[:, b_idx]
+        g_d = np.multiply(gxb, e)
+        g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
+        g_local, g_za = t._conditioner_vjp(w, xa, h1, h2, ts, g_s, -g_d)
+        return g_local, assemble(g[:, a_idx] + g_za, g_d)
+
+    return assemble(xa, np.multiply(d, e)), back
+
+
+@pytest.mark.parametrize("a,b", [([0, 1, 2], [3, 4, 5]), ([1, 4], [0, 2, 3, 5]),
+                                 ([5, 0, 3], [2, 1, 4])])
+def test_coupling_matches_out_of_place_arithmetic(a, b):
+    """Forward, inverse and both ``back`` closures equal, bit for bit, the
+    out-of-place formulas, and leave their inputs unchanged."""
+    rng = np.random.default_rng(11)
+    t = AffineCouplingTransform(6, a, b, hidden_width=7)
+    w = t.weights(rng.standard_normal(sum(size for _, size in t.param_blocks)))
+    x, g = rng.standard_normal((2, 25, 6))
+    g_logdet = rng.standard_normal(25)
+    kept = x.copy(), g.copy(), g_logdet.copy()
+    for direction, args in (("forward", (g, g_logdet)), ("inverse", (g,))):
+        *got, got_back = getattr(t, direction)(w, x)
+        *want, want_back = out_of_place_coupling(t, w, x, direction)
+        got += got_back(*args)
+        want += want_back(*args)
+        assert len(got) == len(want) == len(args) + 2
+        for u, v in zip(got, want):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+    for before, after in zip(kept, (x, g, g_logdet)):
+        assert before.tobytes() == after.tobytes()
+
+
 def test_log_scale_is_bounded():
     rng = np.random.default_rng(4)
     t, p = fresh_coupling(dim=4, hidden=4)

@@ -163,3 +163,20 @@ def test_round_trip_is_bit_exact_through_text(tmp_path):
     path = tmp_path / "precise.csv"
     save_dataset(ds, path)
     assert_array_equal(load_dataset(path).points, pts)
+
+
+@pytest.mark.parametrize("dim", [1, 16])
+def test_csv_bytes_match_per_value_format(tmp_path, dim):
+    """The CSV holds each value as format(v, ".17g"), comma-joined per row,
+    for signed zeros, subnormals, the extremes and exponents -300..300."""
+    rng = np.random.default_rng(dim)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16,
+               1e17, 1.0, -2.5]
+    spread = rng.standard_normal(40 * dim) * 10.0 ** rng.integers(-300, 301, 40 * dim)
+    values = np.concatenate([np.resize(special, 12 * dim), spread])
+    points = values.reshape(-1, dim)
+    path = tmp_path / "points.csv"
+    save_dataset(Dataset(points=points), path)
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in points)
+    assert path.read_bytes() == want.encode()

@@ -17,6 +17,7 @@ from nestedflow.evaluation import (
     save_report,
 )
 from nestedflow.coupling import build_multiscale_flow
+from nestedflow.experiment import resolve_order
 from nestedflow.flows import FlowModel, OffsetTransform, build_lu_flow, build_qr_flow
 from nestedflow.nested_dropout import identity_order, keep_mask, reversed_order
 
@@ -100,6 +101,47 @@ def test_mse_curve_builds_weights_once(build):
     got = mse_curve(m, x, order)
     assert len(calls) == 1
     assert got.tobytes() == want.tobytes()
+
+
+def test_run_report_evaluates_each_truncation_once():
+    """With the five orders of the 16-D multi-scale workload, a report makes
+    one forward pass and one inverse pass per distinct keep-set (59 of the
+    80 (order, k) pairs: depth-forward is the identity here, k = 16 keeps
+    every latent, and reversed and depth-reversed keep the same sets at
+    k = 4 and 8); each curve and the log likelihood equal, bit for bit, the
+    ones evaluated alone."""
+    rng = np.random.default_rng(5)
+    m = build_multiscale_flow(16, 3, 2, rng, hidden_width=6)
+    m.set_params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
+    x = rng.standard_normal((40, 16))
+    names = ["depth-reversed", "depth-forward", "random", "identity", "reversed"]
+    orders = {name: resolve_order(name, m, 2) for name in names}
+    keep_sets = {keep_mask(k, o, 16).tobytes()
+                 for o in orders.values() for k in range(1, 17)}
+    assert len(keep_sets) == 59
+    calls = {"forward_pass": 0, "inverse_pass": 0}
+
+    def spy(name):
+        method = getattr(m, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        setattr(m, name, spy(name))
+    data = Dataset(points=x, split={"test": (0, 40)})
+    r = make_run_report(m, data, orders[names[0]],
+                        extra_orders={name: orders[name] for name in names[1:]})
+    assert calls == {"forward_pass": 1, "inverse_pass": len(keep_sets)}
+    del m.forward_pass, m.inverse_pass
+    assert r.mse_curve.tobytes() == mse_curve(m, x, orders[names[0]]).tobytes()
+    for name in names[1:]:
+        alone = mse_curve(m, x, orders[name])
+        assert np.array(r.curves[name]["mse"]).tobytes() == alone.tobytes()
+    assert np.float64(r.test_ll_nats).tobytes() == \
+        np.float64(avg_log_likelihood(m, x)).tobytes()
 
 
 def test_mse_curve_rejects_empty():
