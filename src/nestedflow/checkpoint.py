@@ -130,6 +130,6 @@ def load_model(path) -> FlowModel:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"invalid checkpoint JSON: {e}") from None
+        except (ValueError, RecursionError) as e:
+            raise CheckpointError(f"{path}: invalid checkpoint JSON ({e})") from None
     return model_from_dict(doc)

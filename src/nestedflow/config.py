@@ -2,7 +2,8 @@
 
 Unknown keys are rejected everywhere so that stored run configs stay
 unambiguous, and so are non-finite numbers (``NaN``, ``Infinity``,
-``1e400``) and integers outside int64, which no setting accepts.
+``1e400``), integers outside int64 and integral floats such as ``2.0`` in
+integer fields, which no setting accepts.
 ``load_config``/``validate_config`` raise ConfigError with the JSON path of
 the first offending field.
 """
@@ -158,6 +159,13 @@ SWEEP_SCHEMA = {
 }
 
 
+# JSON Schema counts 2.0 as an integer; range() and array shapes do not.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
+
 class ConfigError(ValueError):
     """Invalid configuration document; message names the offending field."""
 
@@ -181,7 +189,7 @@ def _reject_unrepresentable(doc, path=()):
 
 def validate_config(doc: dict, schema: dict = EXPERIMENT_SCHEMA) -> dict:
     _reject_unrepresentable(doc)
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _VALIDATOR(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: len(e.absolute_path),
                     reverse=True)
     best = jsonschema.exceptions.best_match(errors)
@@ -194,9 +202,13 @@ def load_config(path, schema: dict = EXPERIMENT_SCHEMA) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except ValueError as e:  # also bytes that are not UTF-8, over-long integers
+    except (ValueError, RecursionError) as e:
+        # also bytes that are not UTF-8, over-long integers, deep nesting
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    return validate_config(doc, schema)
+    try:
+        return validate_config(doc, schema)
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def resolve_config(doc: dict) -> dict:

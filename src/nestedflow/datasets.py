@@ -175,7 +175,7 @@ def load_dataset(path) -> Dataset:
     with open(meta_path) as f:
         try:
             meta = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (ValueError, RecursionError) as e:
             raise DatasetFormatError(f"{meta_path}: not valid JSON ({e})") from None
     splits = meta.get("splits", {}) if isinstance(meta, dict) else None
     if not isinstance(splits, dict):
@@ -186,6 +186,8 @@ def load_dataset(path) -> Dataset:
                 and all(type(i) is int for i in rng)):
             raise DatasetFormatError(f"{meta_path}: split {name!r} must be a "
                                      f"[start, stop] integer pair, got {rng!r}")
+    if "train" not in splits:
+        raise DatasetFormatError(f"{meta_path}: no \"train\" split")
     split = {name: tuple(rng) for name, rng in splits.items()}
     provenance = {k: meta.get(k) for k in ("generator", "seed", "parameters")}
     return Dataset(points=points, split=split, provenance=provenance)

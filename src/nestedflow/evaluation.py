@@ -2,11 +2,15 @@
 
 Metrics: average log likelihood in nats and bits per dimension, and the
 reconstruction-MSE-versus-retained-dimensions curve for a given drop
-order.  A report makes one forward pass over its split, and one inverse
-pass per distinct set of kept latents across all its orders' curves.  A
-RunReport bundles the metrics with the drop order, config hash, and seed;
-wall-clock timings ride along in a separate section so that
+order.  A report evaluates a table of drop orders, label -> order, on the
+test split (the train split when there is no test split): one forward
+pass, and one inverse pass per distinct set of kept latents across all
+the orders' curves.  The first order is primary; the others become named
+curves.  A RunReport bundles the metrics with the drop order, config hash,
+and seed; wall-clock timings ride along in a separate section so that
 deterministic content can be compared byte for byte across reruns.
+``save_report`` is the one writer of a report document: ``report.json``
+plus one ``mse_curve_<label>.csv`` per curve it holds.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -65,8 +70,8 @@ def mse_curve(m: FlowModel, x: np.ndarray, order) -> np.ndarray:
 class RunReport:
     """Metrics of one evaluated run.
 
-    ``mse_curve`` and ``drop_order`` describe the primary (training) order;
-    ``curves`` may hold additional named order/curve pairs.  ``wall_clock``
+    ``mse_curve`` and ``drop_order`` describe the primary order; ``curves``
+    maps the label of each other order to its order and curve.  ``wall_clock``
     maps phase names to seconds and is excluded from deterministic
     comparison.
     """
@@ -93,29 +98,30 @@ class RunReport:
             raise ValueError(f"full-rank reconstruction MSE {curve[-1]:g} exceeds 1e-8")
 
 
-def make_run_report(m: FlowModel, data, order, config_hash: str = "",
-                    seed: int | None = None, split: str = "test",
-                    extra_orders: dict | None = None,
-                    wall_clock: dict | None = None,
-                    notes: dict | None = None) -> RunReport:
-    """Evaluate a model on one dataset split under a primary drop order
-    (plus optional named extra orders), sharing one forward pass."""
-    order = as_order(order, m.dim)
-    extra = {name: as_order(o, m.dim) for name, o in (extra_orders or {}).items()}
-    ll, (primary, *others) = _evaluate(m, data.get_split(split),
-                                       [order, *extra.values()])
-    curves = {name: {"order": o.tolist(), "mse": c.tolist()}
-              for (name, o), c in zip(extra.items(), others)}
+def eval_split(data) -> str:
+    """The split a run is evaluated on: test when it has rows, else train."""
+    return "test" if data.has_split("test") else "train"
+
+
+def make_run_report(m: FlowModel, data, orders: dict, config_hash: str = "",
+                    seed: int | None = None, notes: dict | None = None) -> RunReport:
+    """Evaluate a model on its eval split under a table of drop orders,
+    label -> order, sharing one forward pass.  The first entry is the
+    primary order; the others become ``curves``, keyed by label."""
+    split = eval_split(data)
+    orders = {label: as_order(o, m.dim) for label, o in orders.items()}
+    ll, curves = _evaluate(m, data.get_split(split), list(orders.values()))
+    (_, primary), *extra = orders.items()
     return RunReport(
         test_ll_nats=ll,
         test_bpd=bits_per_dim(ll, m.dim),
-        mse_curve=primary,
-        drop_order=np.asarray(order),
+        mse_curve=curves[0],
+        drop_order=primary,
         config_hash=config_hash,
         seed=seed,
         split=split,
-        curves=curves,
-        wall_clock=dict(wall_clock or {}),
+        curves={label: {"order": o.tolist(), "mse": c.tolist()}
+                for (label, o), c in zip(extra, curves[1:])},
         notes=dict(notes or {}),
     )
 
@@ -139,10 +145,17 @@ def report_to_dict(r: RunReport) -> dict:
     }
 
 
-def save_report(r: RunReport, path):
-    with open(path, "w") as f:
-        json.dump(report_to_dict(r), f, indent=1)
+def save_report(doc: dict, out_dir: Path, label: str) -> None:
+    """Write a report document as ``report.json`` in ``out_dir``, plus
+    ``mse_curve_<label>.csv`` for its primary curve and one CSV for each
+    entry of its ``curves``, under that entry's label."""
+    with open(out_dir / "report.json", "w") as f:
+        json.dump(doc, f, indent=1)
         f.write("\n")
+    results = doc["results"]
+    save_curve_csv(out_dir / f"mse_curve_{label}.csv", results["mse_curve"])
+    for name, entry in results.get("curves", {}).items():
+        save_curve_csv(out_dir / f"mse_curve_{name}.csv", entry["mse"])
 
 
 def deterministic_report_bytes(path) -> bytes:

@@ -3,10 +3,14 @@
 A run directory contains the resolved config copy, the seed and build
 identifier, generated dataset files (when the dataset is inline), the
 model checkpoint, the run report, the loss trace, and per-order MSE curve
-CSVs.  All randomness descends from the single run seed through fixed
-SeedSequence spawns (data, model init, training, evaluation), so
-re-running from the stored config reproduces every deterministic output
-byte for byte.
+CSVs.  A report's drop orders form one table, label -> order, built once:
+the primary order first (train: the training order; eval: the first
+``eval.orders`` entry, else identity), then each ``eval.orders`` entry
+whose label is new.  A label is an order's name or its indices joined
+with "-", as in sweep child names.  All randomness descends from the
+single run seed through fixed SeedSequence spawns (data, model init,
+training, evaluation), so re-running from the stored config reproduces
+every deterministic output byte for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .coupling import (MultiScaleFlow, build_multiscale_flow,
                        depth_forward_order, multiscale_depth_order)
 from .datasets import Dataset, gen_synthetic_gaussian, gen_toy_hierarchical, \
     load_dataset, save_dataset
-from .evaluation import make_run_report, save_curve_csv, save_report
+from .evaluation import eval_split, make_run_report, report_to_dict, save_report
 from .flows import FlowModel, build_lu_flow, build_qr_flow
 from .nested_dropout import GeometricSchedule, NestedDropoutConfig, as_order, \
     identity_order, reversed_order
@@ -95,34 +99,46 @@ def resolve_order(name_or_list, model: FlowModel, eval_seed: int) -> np.ndarray:
     return as_order(name_or_list, k)
 
 
-def order_label(name_or_list) -> str:
-    return name_or_list if isinstance(name_or_list, str) else "explicit"
+def value_label(value) -> str:
+    """A config value as file and directory names show it: an order's name,
+    or list entries joined with "-" (``[0, 2, 1]`` is ``0-2-1``)."""
+    return "-".join(map(value_label, value)) if isinstance(value, list) else str(value)
 
 
-def default_train_order_name(cfg: dict) -> str:
-    if cfg["model"]["kind"] == "coupling-multiscale":
-        return "depth-reversed"
-    return "identity"
+def order_table(specs, model: FlowModel, eval_seed: int) -> dict:
+    """A run's drop orders, label -> permutation, each resolved once and in
+    the order given; the first is the report's primary order, and a
+    repeated label is kept once."""
+    table = {}
+    for spec in specs:
+        label = value_label(spec)
+        if label not in table:
+            table[label] = resolve_order(spec, model, eval_seed)
+    return table
+
+
+def train_order(cfg: dict):
+    """The configured training drop order: ``nd.order``, else depth-reversed
+    for a multi-scale model and identity for any other."""
+    multiscale = cfg["model"]["kind"] == "coupling-multiscale"
+    return cfg.get("nd", {}).get("order", "depth-reversed" if multiscale else "identity")
 
 
 def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
-    """TrainConfig plus the name of the drop order used for training."""
+    """TrainConfig plus the label of the drop order used for training."""
     t = cfg["train"]
     nd_spec = cfg.get("nd")
+    order = train_order(cfg)
     nd = None
-    order_name = default_train_order_name(cfg)
     if nd_spec is not None:
-        order_spec = nd_spec.get("order", order_name)
-        order_name = order_label(order_spec)
-        seeds = derive_seeds(cfg["seed"])
         nd = NestedDropoutConfig(
             lam=nd_spec["lambda"],
             schedule=GeometricSchedule(p=nd_spec["p"], K=model.dim),
-            drop_order=resolve_order(order_spec, model, seeds["eval"]),
+            drop_order=resolve_order(order, model, derive_seeds(cfg["seed"])["eval"]),
         )
     return TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
                        lr_initial=t["lr_initial"],
-                       lr_schedule=t["lr_schedule"], nd=nd), order_name
+                       lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
 
 
 def build_identifier() -> dict:
@@ -153,12 +169,18 @@ def default_output_dir(cfg: dict) -> Path:
     return Path("runs") / f"{config_hash(cfg)[:10]}-s{cfg['seed']}"
 
 
+def _setup(cfg: dict, out_dir):
+    """The prologue of generate, train and eval: the validated and resolved
+    config, the run directory, the phase seeds and the dataset."""
+    cfg = resolve_config(validate_config(cfg))
+    seeds = derive_seeds(cfg["seed"])
+    return (cfg, Path(out_dir or cfg.get("output_dir") or default_output_dir(cfg)),
+            seeds, get_dataset(cfg, seeds["data"]))
+
+
 def run_generate(cfg: dict, out_dir=None) -> Path:
     """Write the configured dataset (CSV + sidecar) into the run directory."""
-    cfg = resolve_config(validate_config(cfg))
-    out_dir = Path(out_dir or cfg.get("output_dir") or default_output_dir(cfg))
-    seeds = derive_seeds(cfg["seed"])
-    data = get_dataset(cfg, seeds["data"])
+    cfg, out_dir, _, data = _setup(cfg, out_dir)
     _prepare_run_dir(cfg, out_dir)
     path = out_dir / "dataset.csv"
     save_dataset(data, path)
@@ -180,12 +202,11 @@ def run_train(cfg: dict, out_dir=None):
 
     Returns (RunReport, run directory).
     """
-    cfg = resolve_config(validate_config(cfg))
-    out_dir = Path(out_dir or cfg.get("output_dir") or default_output_dir(cfg))
-    seeds = derive_seeds(cfg["seed"])
-    data = get_dataset(cfg, seeds["data"])
+    cfg, out_dir, seeds, data = _setup(cfg, out_dir)
     model = build_model(cfg, data.dim, seeds["init"])
-    train_cfg, order_name = make_train_config(cfg, model)
+    train_cfg, label = make_train_config(cfg, model)
+    orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
+                         model, seeds["eval"])
     _prepare_run_dir(cfg, out_dir)
     if "path" not in cfg["dataset"]:
         save_dataset(data, out_dir / "dataset.csv")
@@ -194,23 +215,12 @@ def run_train(cfg: dict, out_dir=None):
     result = train(model, data, train_cfg, np.random.default_rng(seeds["train"]))
     train_seconds = time.perf_counter() - started
 
-    eval_split = "test" if data.has_split("test") else "train"
-    primary_order = resolve_order(
-        train_cfg.nd.drop_order if train_cfg.nd is not None else order_name,
-        model, seeds["eval"])
-    extra = {}
-    for spec in cfg.get("eval", {}).get("orders", []):
-        label = order_label(spec)
-        if label != order_name:
-            extra[label] = resolve_order(spec, model, seeds["eval"])
     started = time.perf_counter()
     report = make_run_report(
-        model, data, primary_order,
-        config_hash=config_hash(cfg), seed=cfg["seed"], split=eval_split,
-        extra_orders=extra,
+        model, data, orders, config_hash=config_hash(cfg), seed=cfg["seed"],
         notes={
             "mode": "nested-dropout" if train_cfg.nd is not None else "baseline",
-            "train_order": order_name,
+            "train_order": label,
             "dataset": dataset_notes(data),
         },
     )
@@ -224,62 +234,45 @@ def run_train(cfg: dict, out_dir=None):
 
     save_model(model, out_dir / "checkpoint.json", rng_seed=cfg["seed"])
     result.trace.save_csv(out_dir / "trace.csv")
-    _save_report_and_curves(report, out_dir, order_name)
+    save_report(report_to_dict(report), out_dir, label)
     return report, out_dir
-
-
-def _save_report_and_curves(report, out_dir: Path, primary_label: str) -> None:
-    """report.json plus one MSE curve CSV per evaluated order."""
-    save_report(report, out_dir / "report.json")
-    save_curve_csv(out_dir / f"mse_curve_{primary_label}.csv", report.mse_curve)
-    for label, entry in report.curves.items():
-        save_curve_csv(out_dir / f"mse_curve_{label}.csv", entry["mse"])
 
 
 def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
     """Evaluate a stored checkpoint (or, without one, the PCA oracle) on the
     configured dataset."""
-    cfg = resolve_config(validate_config(cfg))
-    out_dir = Path(out_dir or cfg.get("output_dir") or default_output_dir(cfg))
-    seeds = derive_seeds(cfg["seed"])
-    data = get_dataset(cfg, seeds["data"])
-    eval_split = "test" if data.has_split("test") else "train"
+    cfg, out_dir, seeds, data = _setup(cfg, out_dir)
     _prepare_run_dir(cfg, out_dir)
-
     if checkpoint_path is None:
-        return _run_pca_oracle(cfg, data, eval_split, out_dir)
+        return _run_pca_oracle(cfg, data, out_dir)
 
     model = load_model(checkpoint_path)
     if model.dim != data.dim:
         raise ValueError(
             f"checkpoint dimension {model.dim} does not match dataset "
             f"dimension {data.dim}")
-    order_specs = cfg.get("eval", {}).get("orders") or ["identity"]
-    primary = order_specs[0]
-    extra = {order_label(s): resolve_order(s, model, seeds["eval"])
-             for s in order_specs[1:]}
+    orders = order_table(cfg.get("eval", {}).get("orders", ["identity"]), model,
+                         seeds["eval"])
     report = make_run_report(
-        model, data, resolve_order(primary, model, seeds["eval"]),
-        config_hash=config_hash(cfg), seed=cfg["seed"], split=eval_split,
-        extra_orders=extra,
+        model, data, orders, config_hash=config_hash(cfg), seed=cfg["seed"],
         notes={"mode": "eval", "checkpoint": str(checkpoint_path),
                "dataset": dataset_notes(data)},
     )
-    _save_report_and_curves(report, out_dir, order_label(primary))
+    save_report(report_to_dict(report), out_dir, next(iter(orders)))
     return report, out_dir
 
 
-def _run_pca_oracle(cfg: dict, data: Dataset, eval_split: str, out_dir: Path):
+def _run_pca_oracle(cfg: dict, data: Dataset, out_dir: Path):
     """Baseline evaluation without a flow: fit PCA on the train split and
     report its reconstruction curve on the eval split."""
     fit = pca_fit(data.get_split("train"))
-    x = data.get_split(eval_split)
-    curve = [pca_mse(fit, x, k) for k in range(1, data.dim + 1)]
+    split = eval_split(data)
+    x = data.get_split(split)
     doc = {
         "results": {
             "mode": "pca-oracle",
-            "split": eval_split,
-            "mse_curve": curve,
+            "split": split,
+            "mse_curve": [pca_mse(fit, x, k) for k in range(1, data.dim + 1)],
             "eigenvalues": fit.eigenvalues.tolist(),
             "config_hash": config_hash(cfg),
             "seed": cfg["seed"],
@@ -287,10 +280,7 @@ def _run_pca_oracle(cfg: dict, data: Dataset, eval_split: str, out_dir: Path):
         },
         "timing": {},
     }
-    with open(out_dir / "report.json", "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-    save_curve_csv(out_dir / "mse_curve_pca.csv", curve)
+    save_report(doc, out_dir, "pca")
     return doc, out_dir
 
 
@@ -303,28 +293,12 @@ def apply_override(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _sweep_child(payload):
-    cfg, out_dir = payload
-    report, _ = run_train(cfg, out_dir)
-    results = {
-        "test_ll_nats": report.test_ll_nats,
-        "mse_curve": report.mse_curve.tolist(),
-    }
-    return results
-
-
 def worker_count() -> int:
     raw = os.environ.get("NESTEDFLOW_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
         raise ValueError(f"NESTEDFLOW_THREADS must be an integer, got {raw!r}")
-
-
-def _dir_label(value) -> str:
-    """A grid value as it appears in a child directory name: list entries
-    joined with "-"."""
-    return "-".join(map(_dir_label, value)) if isinstance(value, list) else str(value)
 
 
 def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
@@ -346,7 +320,7 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
                 apply_override(cfg, k, v)
             cfg["seed"] = int(seed)
             cfg.pop("output_dir", None)
-            tag = "_".join(f"{k.split('.')[-1]}={_dir_label(v)}"
+            tag = "_".join(f"{k.split('.')[-1]}={value_label(v)}"
                            for k, v in zip(keys, values))
             # Path separators in values would nest directories.
             name = f"{tag}_s{seed}".replace("/", "").replace("\\", "")
@@ -389,9 +363,12 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
 
 def _try_sweep_child(payload):
+    """One sweep child's LL and MSE curve, or the error it is recorded with."""
     try:
-        return _sweep_child(payload)
-    except Exception as e:  # recorded, sweep continues
+        report, _ = run_train(*payload)
+    except Exception as e:
         # keep the aggregate CSV one-cell-per-column
         flat = f"{type(e).__name__}: {e}".replace(",", ";").replace("\n", " ")
         return {"error": flat}
+    return {"test_ll_nats": report.test_ll_nats,
+            "mse_curve": report.mse_curve.tolist()}

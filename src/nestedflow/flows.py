@@ -366,15 +366,6 @@ class FlowModel:
         """Map latent rows back to data rows."""
         return self.inverse_pass(self.weights(), z)
 
-    def log_likelihood_batch(self, x):
-        """Per-row log likelihood under the flow (nats)."""
-        z, logdet = self.forward_batch(x)
-        return np.add(standard_normal_logpdf_rows(z), logdet)
-
-    def sample_batch(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        return self.inverse_batch(z)
-
 
 def build_lu_flow(dim: int, rng: np.random.Generator, offset: bool = False) -> FlowModel:
     """Single LU-parameterized linear flow; the permutation is drawn from

@@ -119,8 +119,9 @@ def test_train_on_stored_dataset(tmp_path):
 
 @pytest.mark.parametrize("splits", [
     {"train": "ab"}, {"train": [0.5, 10]}, {"train": 5}, {"train": [0, 10, 20]},
-    [[0, 10]],
-], ids=["string", "float-bound", "number", "triple", "splits-not-object"])
+    [[0, 10]], {"test": [0, 10]},
+], ids=["string", "float-bound", "number", "triple", "splits-not-object",
+        "no-train"])
 def test_train_on_malformed_sidecar_splits_exits_one(tmp_path, capsys, splits):
     data_dir = tmp_path / "data"
     cfg_path = tmp_path / "gen.json"
@@ -209,6 +210,100 @@ def test_eval_checkpoint(tmp_path, capsys):
     reevaluated = json.loads((out / "report.json").read_text())
     assert reevaluated["results"]["test_ll_nats"] == \
         pytest.approx(trained["results"]["test_ll_nats"], abs=1e-12)
+
+
+INDEX_ORDERS = {"nd": {"lambda": 1.0, "p": 0.5, "order": [0, 2, 1]},
+                "eval": {"orders": [[2, 1, 0], "identity", [1, 0, 2]]}}
+
+
+def curve_files(run_dir):
+    return sorted(p.name for p in run_dir.glob("mse_curve_*.csv"))
+
+
+def test_train_reports_every_index_list_order(tmp_path):
+    """The training order comes first and each eval order follows under
+    its own label, an index list labelled by its indices."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **INDEX_ORDERS)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["drop_order"] == [0, 2, 1]
+    assert results["notes"]["train_order"] == "0-2-1"
+    assert list(results["curves"]) == ["2-1-0", "identity", "1-0-2"]
+    assert curve_files(out) == ["mse_curve_0-2-1.csv", "mse_curve_1-0-2.csv",
+                                "mse_curve_2-1-0.csv", "mse_curve_identity.csv"]
+    rows = (out / "mse_curve_0-2-1.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == results["mse_curve"]
+
+
+def test_eval_checkpoint_writes_one_curve_per_order(tmp_path):
+    """The first eval order is primary and lands in its own file; no curve
+    overwrites another."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **INDEX_ORDERS)
+    train_dir, out = tmp_path / "trained", tmp_path / "eval"
+    assert main(["train", "--config", str(cfg_path), "--output", str(train_dir)]) == 0
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                 str(train_dir / "checkpoint.json"), "--output", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["drop_order"] == [2, 1, 0]
+    assert list(results["curves"]) == ["identity", "1-0-2"]
+    assert curve_files(out) == ["mse_curve_1-0-2.csv", "mse_curve_2-1-0.csv",
+                                "mse_curve_identity.csv"]
+    trained = json.loads((train_dir / "report.json").read_text())["results"]
+    for label in ("2-1-0", "1-0-2"):
+        assert (out / f"mse_curve_{label}.csv").read_bytes() == \
+            (train_dir / f"mse_curve_{label}.csv").read_bytes()
+    assert results["mse_curve"] == trained["curves"]["2-1-0"]["mse"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_order_is_reported_once(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, eval={"orders": ["identity", "identity", "reversed",
+                                            "reversed"]})
+    train_dir = tmp_path / "trained"
+    assert main(["train", "--config", str(cfg_path), "--output", str(train_dir)]) == 0
+    out = train_dir
+    if command == "eval":
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(train_dir / "checkpoint.json"), "--output", str(out)]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["drop_order"] == [0, 1, 2]
+    assert list(results["curves"]) == ["reversed"]
+    assert curve_files(out) == ["mse_curve_identity.csv", "mse_curve_reversed.csv"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"nd": {"lambda": 1.0, "p": 0.5, "order": "random"},
+     "eval": {"orders": ["random", "reversed", [0, 2, 1]]}},
+    {"dataset": {"generator": "toy-hierarchical", "dim": 4, "n": 60},
+     "model": {"kind": "coupling-multiscale", "levels": 2,
+               "couplings_per_level": 1, "hidden_width": 4},
+     "nd": {"lambda": 1.0, "p": 0.5},
+     "eval": {"orders": ["depth-reversed", "depth-forward", "random"]}},
+], ids=["qr", "coupling"])
+def test_eval_reproduces_train_bitwise(tmp_path, overrides):
+    """eval --checkpoint on the checkpoint train just wrote, with the
+    training order first, reproduces the train report's log likelihood and
+    every curve bit for bit, and every curve file byte for byte."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    train_dir, out = tmp_path / "trained", tmp_path / "eval"
+    assert main(["train", "--config", str(cfg_path), "--output", str(train_dir)]) == 0
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint",
+                 str(train_dir / "checkpoint.json"), "--output", str(out)]) == 0
+    trained = json.loads((train_dir / "report.json").read_text())["results"]
+    reevaluated = json.loads((out / "report.json").read_text())["results"]
+    assert len(trained["curves"]) == 2
+    for key in ("test_ll_nats", "test_bpd", "drop_order", "mse_curve", "curves"):
+        # repr round-trips every float, so equal text means equal bits
+        assert json.dumps(reevaluated[key]) == json.dumps(trained[key]), key
+    assert curve_files(out) == curve_files(train_dir)
+    for name in curve_files(out):
+        assert (out / name).read_bytes() == (train_dir / name).read_bytes()
 
 
 def test_eval_zero_householder_vector_is_usage_error(tmp_path, capsys):
@@ -331,6 +426,49 @@ def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names
     assert code == 1
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error:") and names in err
+
+
+DEEP = "[" * 100_000
+
+
+def test_deeply_nested_config_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(DEEP)
+    assert main(["train", "--config", str(cfg_path),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON")
+    assert not (tmp_path / "run").exists()
+
+
+def test_deeply_nested_checkpoint_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    path = tmp_path / "checkpoint.json"
+    path.write_text(DEEP)
+    assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(path),
+                 "--output", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {path}: invalid checkpoint JSON")
+
+
+def test_deeply_nested_sidecar_exits_one(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    meta_path = data_dir / "dataset.csv.meta.json"
+    meta_path.write_text(DEEP)
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(data_dir / "dataset.csv")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: {meta_path}: not valid JSON")
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

@@ -1,0 +1,159 @@
+"""Fuzz test of the CLI exit-code contract over malformed inputs.
+
+Each example damages one input of a tiny run (the config, a checkpoint, the
+data CSV or its sidecar) and calls ``cli.main`` in-process.  Whatever the
+damage, the exit code is 0, 1 or 2, and a failure prints exactly one line
+on stderr, with no traceback.  Damage is random bytes, a truncated or
+byte-flipped valid document, deep nesting, or one JSON value replaced by a
+number too large, non-finite, integral-but-float, or of the wrong type.
+Numbers stay out of the range where a valid size would make a run long.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nestedflow.cli import main
+
+CONFIG = {
+    "dataset": {"generator": "synthetic-gaussian", "n_train": 24, "n_test": 8},
+    "model": {"kind": "qr-linear", "offset": True},
+    "train": {"iterations": 2, "batch_size": 4, "lr_initial": 0.01},
+    "nd": {"lambda": 1.0, "p": 0.5, "order": [2, 0, 1]},
+    "eval": {"orders": ["identity", "random", [1, 0, 2]]},
+    "seed": 0,
+}
+COUPLING = {
+    "dataset": {"generator": "toy-hierarchical", "dim": 4, "n": 30},
+    "model": {"kind": "coupling-multiscale", "levels": 2,
+              "couplings_per_level": 1, "hidden_width": 3},
+    "train": {"iterations": 1, "batch_size": 4, "lr_initial": 0.01},
+    "eval": {"orders": ["depth-reversed", "reversed"]},
+}
+
+# Text spliced in place of one JSON value or CSV cell: numbers too large
+# for int64 or for a float, too long to parse, non-finite, integral floats,
+# and (JSON only) values of the wrong type.
+NUMBERS = ["1e400", "-1e400", "NaN", "Infinity", "-Infinity", str(2 ** 64),
+           str(-2 ** 63 - 1), "9" * 5000, "1.7976931348623157e308",
+           "-1.7976931348623157e308", "5e-324", "2.0", "-1", "0"]
+ODD_VALUES = NUMBERS + ["true", "null", '"x"', "[]", "{}", "[[[0]]]",
+                        "[" * 990 + "]" * 990]
+DEPTHS = [2, 500, 990, 5_000, 100_000]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A trained run's config, checkpoint, dataset CSV and sidecar, for the
+    3-D linear and the 4-D multi-scale config."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name, cfg in (("linear", CONFIG), ("coupling", COUPLING)):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        run = root / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--config", str(path), "--output", str(run)]) == 0
+        files[name] = {"config": path.read_bytes(),
+                       "checkpoint": (run / "checkpoint.json").read_bytes(),
+                       "csv": (run / "dataset.csv").read_bytes(),
+                       "sidecar": (run / "dataset.csv.meta.json").read_bytes()}
+    return files
+
+
+def json_paths(doc, path=()):
+    """Every path to a value in a JSON document, the root included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` after one kind of damage."""
+    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "nest", "value"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    if kind == "nest":
+        return b"[" * draw(st.sampled_from(DEPTHS))
+    try:
+        doc = json.loads(raw)
+    except ValueError:  # a CSV: replace one cell
+        lines = raw.split(b"\n")
+        row = draw(st.integers(0, len(lines) - 2))
+        cells = lines[row].split(b",")
+        cells[draw(st.integers(0, len(cells) - 1))] = \
+            draw(st.sampled_from(NUMBERS)).encode()
+        lines[row] = b",".join(cells)
+        return b"\n".join(lines)
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    if not path:
+        return draw(st.sampled_from(ODD_VALUES)).encode()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "\0fuzz\0"
+    return json.dumps(doc).replace('"\\u0000fuzz\\u0000"', draw(
+        st.sampled_from(ODD_VALUES))).encode()
+
+
+# (damaged input, the command run on it)
+COMMANDS = {
+    "config": [["generate"], ["train"], ["eval"], ["eval", "--checkpoint"]],
+    "checkpoint": [["eval", "--checkpoint"]],
+    "csv": [["train"], ["eval"]],
+    "sidecar": [["train"], ["eval", "--checkpoint"]],
+}
+
+
+@st.composite
+def cases(draw, files):
+    model = draw(st.sampled_from(sorted(files)))
+    target = draw(st.sampled_from(sorted(COMMANDS)))
+    command = draw(st.sampled_from(COMMANDS[target]))
+    return model, target, command, draw(damaged(files[model][target]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exit_contract_under_damaged_inputs(valid_files, data):
+    model, target, command, damage = data.draw(cases(valid_files))
+    inputs = dict(valid_files[model], **{target: damage})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "dataset.csv").write_bytes(inputs["csv"])
+        (tmp / "dataset.csv.meta.json").write_bytes(inputs["sidecar"])
+        (tmp / "checkpoint.json").write_bytes(inputs["checkpoint"])
+        config = inputs["config"]
+        if target in ("csv", "sidecar"):
+            doc = json.loads(config)
+            doc["dataset"] = {"path": str(tmp / "dataset.csv")}
+            config = json.dumps(doc).encode()
+        (tmp / "config.json").write_bytes(config)
+        argv = [command[0], "--config", str(tmp / "config.json"),
+                "--output", str(tmp / "out")]
+        if "--checkpoint" in command:
+            argv += ["--checkpoint", str(tmp / "checkpoint.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        text = err.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n"), text[:500]
+        assert "Traceback" not in text

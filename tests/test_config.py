@@ -159,6 +159,33 @@ def test_load_config_names_the_file_when_json_cannot_be_read(tmp_path, content):
         load_config(path)
 
 
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_load_config_names_the_file_when_nesting_is_too_deep(tmp_path, depth):
+    """Too deep to parse, or parsed but too deep to validate: one
+    ConfigError naming the file either way."""
+    path = tmp_path / "deep.json"
+    text = json.dumps(dict(minimal_config(), eval={"orders": "deep"}))
+    path.write_text(text.replace('"deep"', "[" * depth + "]" * depth))
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: ")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,where", [
+    ("train", "iterations", "config.train.iterations: 2.0 is not of type"),
+    ("train", "batch_size", "config.train.batch_size: 2.0 is not of type"),
+    (None, "seed", "config.seed: 2.0 is not of type"),
+    ("dataset", "n_train", "config.dataset"),
+    ("model", "n_householder", "config.model"),
+])
+def test_integral_floats_are_not_integers(section, key, where):
+    """2.0 is an integer to JSON Schema, but range() and array shapes
+    reject it, so integer fields take JSON integers only."""
+    cfg = minimal_config()
+    (cfg[section] if section else cfg)[key] = 2.0
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        validate_config(cfg)
+
+
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(minimal_config()))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nestedflow.evaluation import (
     deterministic_report_bytes,
     make_run_report,
     mse_curve,
+    report_to_dict,
     save_curve_csv,
     save_report,
 )
@@ -132,8 +134,7 @@ def test_run_report_evaluates_each_truncation_once():
     for name in calls:
         setattr(m, name, spy(name))
     data = Dataset(points=x, split={"test": (0, 40)})
-    r = make_run_report(m, data, orders[names[0]],
-                        extra_orders={name: orders[name] for name in names[1:]})
+    r = make_run_report(m, data, orders)
     assert calls == {"forward_pass": 1, "inverse_pass": len(keep_sets)}
     del m.forward_pass, m.inverse_pass
     assert r.mse_curve.tobytes() == mse_curve(m, x, orders[names[0]]).tobytes()
@@ -155,18 +156,24 @@ def single_point_data():
 
 def test_make_run_report_fields():
     m = identity_model()
-    r = make_run_report(m, single_point_data(), identity_order(3),
-                        config_hash="abc", seed=7,
-                        extra_orders={"reversed": reversed_order(3)},
-                        wall_clock={"train": 1.5}, notes={"mode": "demo"})
+    r = make_run_report(m, single_point_data(),
+                        {"identity": identity_order(3),
+                         "reversed": reversed_order(3)},
+                        config_hash="abc", seed=7, notes={"mode": "demo"})
     assert r.config_hash == "abc"
     assert r.seed == 7
+    assert r.split == "test"
     assert r.drop_order.tolist() == [0, 1, 2]
     assert_allclose(r.mse_curve, [13.0 / 3.0, 3.0, 0.0], atol=1e-15)
+    assert list(r.curves) == ["reversed"]
     assert r.curves["reversed"]["order"] == [2, 1, 0]
     assert r.curves["reversed"]["mse"][0] == pytest.approx(5.0 / 3.0)
     assert r.test_bpd == pytest.approx(bits_per_dim(r.test_ll_nats, 3))
-    assert r.wall_clock == {"train": 1.5}
+    assert r.notes == {"mode": "demo"} and r.wall_clock == {}
+    # without a test split the train split is evaluated
+    train_only = Dataset(points=np.array([[1.0, 2.0, 3.0]]), split={"train": (0, 1)})
+    assert make_run_report(m, train_only, {"identity": identity_order(3)}).split \
+        == "train"
 
 
 def test_run_report_validation():
@@ -185,27 +192,33 @@ def test_run_report_validation():
 
 def test_report_json_sections(tmp_path):
     m = identity_model()
-    r = make_run_report(m, single_point_data(), identity_order(3),
-                        config_hash="h", seed=0, wall_clock={"train": 2.0})
-    path = tmp_path / "report.json"
-    save_report(r, path)
-    doc = json.loads(path.read_text())
+    r = replace(make_run_report(m, single_point_data(),
+                                {"identity": identity_order(3),
+                                 "2-1-0": reversed_order(3)},
+                                config_hash="h", seed=0),
+                wall_clock={"train": 2.0})
+    save_report(report_to_dict(r), tmp_path, "identity")
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert set(doc) == {"results", "timing"}
     assert doc["timing"] == {"train": 2.0}
     assert doc["results"]["test_ll_nats"] == r.test_ll_nats
     assert doc["results"]["drop_order"] == [0, 1, 2]
+    # one curve CSV per curve the document holds, named by label
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["mse_curve_2-1-0.csv", "mse_curve_identity.csv", "report.json"]
+    assert (tmp_path / "mse_curve_2-1-0.csv").read_text().splitlines()[1] == \
+        f"1,{format(r.curves['2-1-0']['mse'][0], '.17g')}"
 
 
 def test_timing_excluded_from_deterministic_bytes(tmp_path):
     m = identity_model()
-    shared = dict(config_hash="h", seed=0)
-    fast = make_run_report(m, single_point_data(), identity_order(3),
-                           wall_clock={"train": 0.1}, **shared)
-    slow = make_run_report(m, single_point_data(), identity_order(3),
-                           wall_clock={"train": 99.0}, **shared)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_report(fast, p1)
-    save_report(slow, p2)
+    r = make_run_report(m, single_point_data(), {"identity": identity_order(3)},
+                        config_hash="h", seed=0)
+    p1, p2 = tmp_path / "a" / "report.json", tmp_path / "b" / "report.json"
+    for path, seconds in ((p1, 0.1), (p2, 99.0)):
+        path.parent.mkdir()
+        save_report(report_to_dict(replace(r, wall_clock={"train": seconds})),
+                    path.parent, "identity")
     assert p1.read_bytes() != p2.read_bytes()
     assert deterministic_report_bytes(p1) == deterministic_report_bytes(p2)
 
