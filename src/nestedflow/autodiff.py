@@ -49,27 +49,31 @@ class Var:
 
 @dataclass(frozen=True)
 class ParameterVector:
-    """Flat, finite, 1-D parameter storage."""
+    """Flat, finite parameter storage: 1-D, or (S, P) for a seed stack of S
+    models with one row each."""
 
     values: np.ndarray
+    stacked: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ValueError("parameter vector must be 1-D")
-        if not np.all(np.isfinite(v)):
+        if v.ndim != 1 + self.stacked:
+            raise ValueError("parameter vector must be 1-D, or 2-D for a seed stack")
+        if not np.isfinite(v).all():
             raise ValueError("parameter vector contains non-finite entries")
 
     def __len__(self):
-        return self.values.size
+        """Parameters per model."""
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
 class GradientRecord:
-    """Loss value and its gradient with respect to the flat parameters."""
+    """Loss value and its gradient with respect to the flat parameters (one
+    of each per seed of a stack)."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
 
 
@@ -77,19 +81,21 @@ def evaluate_with_gradient(loss, theta: ParameterVector) -> GradientRecord:
     """Evaluate ``loss`` at ``theta`` and return value plus exact gradient.
 
     ``loss`` receives the parameters as a leaf :class:`Var` and must return
-    a ``Var`` whose one parent is that leaf.
+    a ``Var`` whose one parent is that leaf.  For a seed stack of parameters
+    the loss returns one value per seed, the record holds them all, and the
+    VJP applied to 1 gives each seed's gradient in its row.
     """
     leaf = Var(np.array(theta.values, dtype=np.float64))
     out = loss(leaf)
     if not (isinstance(out, Var) and len(out.parents) == 1
             and out.parents[0][0] is leaf):
         raise TypeError("loss must return a Var whose one input is the parameters")
-    value = float(out.value)
-    if not np.isfinite(value):
+    value = out.value if np.ndim(out.value) else float(out.value)
+    if not np.isfinite(value).all():
         raise NonFiniteLossError(f"loss evaluated to {value}")
     gradient = np.asarray(out.parents[0][1](np.float64(1.0)), dtype=np.float64)
-    if not np.all(np.isfinite(gradient)):
-        bad = int(np.flatnonzero(~np.isfinite(gradient))[0])
+    if not np.isfinite(gradient).all():
+        bad = int(np.nonzero(~np.isfinite(gradient))[-1][0])
         raise NonFiniteLossError(f"gradient is non-finite at parameter index {bad}")
     return GradientRecord(value=value, gradient=gradient)
 

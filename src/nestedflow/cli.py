@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .config import SWEEP_SCHEMA, load_config
-from .datasets import load_dataset
 from . import experiment
 
 NUMERICAL_ERRORS = ArithmeticError
@@ -79,8 +78,7 @@ def _load(args) -> dict:
 
 def cmd_generate(args) -> int:
     cfg = _load(args)
-    path = experiment.run_generate(cfg, args.output)
-    data = load_dataset(path)
+    path, data = experiment.run_generate(cfg, args.output)
     mean = data.points.mean(axis=0)
     var = data.points.var(axis=0)
     print(f"wrote {path}: {data.points.shape[0]} rows x {data.dim} columns")
@@ -134,7 +132,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The non-finite checks report each failure in one line, so numpy's
+        # floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2

@@ -14,14 +14,14 @@ more transforms, which induces the depth ordering used as a drop order.
 
 Couplings follow the transform protocol of :mod:`nestedflow.flows`: plain
 numpy forward and inverse maps, each returning a ``back`` closure that the
-loss's reverse sweep calls once.
+loss's reverse sweep calls once, with the same optional leading seed axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .flows import FlowModel, split_blocks
+from .flows import FlowModel, split_blocks, take_columns
 
 
 class AffineCouplingTransform:
@@ -75,7 +75,8 @@ class AffineCouplingTransform:
         """Views of the six blocks in the conditioner's shapes."""
         na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
         shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
-        return [b.reshape(shape) for b, shape in zip(split_blocks(self, p), shapes)]
+        return [b.reshape(*b.shape[:-1], *shape)
+                for b, shape in zip(split_blocks(self, p), shapes)]
 
     def weights_vjp(self, w, gw):
         return gw
@@ -84,69 +85,70 @@ class AffineCouplingTransform:
         """Hidden activations, tanh(s_raw), log-scale s and shift t."""
         w1, b1, w2, b2, w3, b3 = w
         h1 = np.matmul(xa, w1)
-        np.tanh(np.add(h1, b1, out=h1), out=h1)
+        np.tanh(np.add(h1, b1[..., None, :], out=h1), out=h1)
         h2 = np.matmul(h1, w2)
-        np.tanh(np.add(h2, b2, out=h2), out=h2)
+        np.tanh(np.add(h2, b2[..., None, :], out=h2), out=h2)
         out = np.matmul(h2, w3)
-        np.add(out, b3, out=out)
+        np.add(out, b3[..., None, :], out=out)
         # Gather (not slice) the s columns: that makes s column-major, and
         # row sums over that layout reproduce recorded log-determinants
         # bit for bit.
-        ts = out[:, self._s_cols]
+        ts = take_columns(out, self._s_cols)
         np.tanh(ts, out=ts)
-        return h1, h2, ts, np.multiply(ts, self.log_scale_bound), out[:, ts.shape[1]:]
+        return h1, h2, ts, np.multiply(ts, self.log_scale_bound), out[..., ts.shape[-1]:]
 
     def _conditioner_vjp(self, w, xa, h1, h2, ts, g_s, g_t):
         """Back-propagate gradients of (s, t) through the conditioner: the
         gradients of the coupling's parameter span and of xa."""
         w1, b1, w2, b2, w3, b3 = w
-        nb = ts.shape[1]
-        g_out = np.empty((ts.shape[0], 2 * nb))  # row-major, unlike its parts
-        g_out[:, :nb] = np.multiply(np.multiply(g_s, self.log_scale_bound), 1.0 - ts * ts)
-        g_out[:, nb:] = g_t
-        g_pre2 = np.matmul(g_out, w3.T) * (1.0 - h2 * h2)
-        g_pre1 = np.matmul(g_pre2, w2.T) * (1.0 - h1 * h1)
+        nb = ts.shape[-1]
+        g_out = np.empty((*ts.shape[:-1], 2 * nb))  # row-major, unlike its parts
+        g_out[..., :nb] = np.multiply(np.multiply(g_s, self.log_scale_bound), 1.0 - ts * ts)
+        g_out[..., nb:] = g_t
+        g_pre2 = np.matmul(g_out, w3.swapaxes(-1, -2)) * (1.0 - h2 * h2)
+        g_pre1 = np.matmul(g_pre2, w2.swapaxes(-1, -2)) * (1.0 - h1 * h1)
+        lead = ts.shape[:-2]
         g_local = np.concatenate([
-            np.matmul(xa.T, g_pre1).ravel(), g_pre1.sum(axis=0),
-            np.matmul(h1.T, g_pre2).ravel(), g_pre2.sum(axis=0),
-            np.matmul(h2.T, g_out).ravel(), g_out.sum(axis=0),
-        ])
-        return g_local, np.matmul(g_pre1, w1.T)
+            np.matmul(xa.swapaxes(-1, -2), g_pre1).reshape(*lead, -1), g_pre1.sum(axis=-2),
+            np.matmul(h1.swapaxes(-1, -2), g_pre2).reshape(*lead, -1), g_pre2.sum(axis=-2),
+            np.matmul(h2.swapaxes(-1, -2), g_out).reshape(*lead, -1), g_out.sum(axis=-2),
+        ], axis=-1)
+        return g_local, np.matmul(g_pre1, w1.swapaxes(-1, -2))
 
     def forward(self, w, x):
-        xa, xb = x[:, self.identity_idx], x[:, self.transformed_idx]
+        xa, xb = take_columns(x, self.identity_idx), x[..., self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, xa)
         es = np.exp(s)
         z = x.copy()  # the A columns pass through
-        z[:, self.transformed_idx] = np.add(np.multiply(xb, es), t)
+        z[..., self.transformed_idx] = np.add(np.multiply(xb, es), t)
 
         def back(gz, g_logdet):
-            gzb = gz[:, self.transformed_idx]
-            g_s = g_logdet[:, None] + np.multiply(np.multiply(gzb, xb), es)
+            gzb = gz[..., self.transformed_idx]
+            g_s = g_logdet[..., None] + np.multiply(np.multiply(gzb, xb), es)
             g_local, g_xa = self._conditioner_vjp(w, xa, h1, h2, ts, g_s, gzb)
             gx = gz.copy()
-            gx[:, self.identity_idx] += g_xa
-            gx[:, self.transformed_idx] = np.multiply(gzb, es)
+            gx[..., self.identity_idx] += g_xa
+            gx[..., self.transformed_idx] = np.multiply(gzb, es)
             return g_local, gx
 
-        return z, np.sum(s, axis=1), back
+        return z, np.sum(s, axis=-1), back
 
     def inverse(self, w, z):
-        za, zb = z[:, self.identity_idx], z[:, self.transformed_idx]
+        za, zb = take_columns(z, self.identity_idx), z[..., self.transformed_idx]
         h1, h2, ts, s, t = self._conditioner(w, za)
         d = np.subtract(zb, t)
         e = np.exp(np.multiply(s, -1.0))
         x = z.copy()  # the A columns pass through
-        x[:, self.transformed_idx] = np.multiply(d, e)
+        x[..., self.transformed_idx] = np.multiply(d, e)
 
         def back(g):
-            gxb = g[:, self.transformed_idx]
+            gxb = g[..., self.transformed_idx]
             g_d = np.multiply(gxb, e)
             g_s = np.multiply(np.multiply(np.multiply(gxb, d), e), -1.0)
             g_local, g_za = self._conditioner_vjp(w, za, h1, h2, ts, g_s, -g_d)
             gz = g.copy()
-            gz[:, self.identity_idx] += g_za
-            gz[:, self.transformed_idx] = g_d
+            gz[..., self.identity_idx] += g_za
+            gz[..., self.transformed_idx] = g_d
             return g_local, gz
 
         return x, back

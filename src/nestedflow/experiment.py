@@ -16,13 +16,14 @@ every deterministic output byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .coupling import (MultiScaleFlow, build_multiscale_flow,
 from .datasets import Dataset, gen_synthetic_gaussian, gen_toy_hierarchical, \
     load_dataset, save_dataset
 from .evaluation import eval_split, make_run_report, report_to_dict, save_report
-from .flows import FlowModel, build_lu_flow, build_qr_flow
+from .flows import FlowModel, build_lu_flow, build_qr_flow, stack_models
 from .nested_dropout import GeometricSchedule, NestedDropoutConfig, as_order, \
     identity_order, reversed_order
 from .optim import TrainConfig, train
@@ -141,7 +142,10 @@ def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
                        lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
 
 
+@functools.cache
 def build_identifier() -> dict:
+    """The package version and git commit of the code this process
+    imported, resolved once per process."""
     ident = {"package": "nestedflow", "version": __version__}
     try:
         head = subprocess.run(
@@ -178,13 +182,14 @@ def _setup(cfg: dict, out_dir):
             seeds, get_dataset(cfg, seeds["data"]))
 
 
-def run_generate(cfg: dict, out_dir=None) -> Path:
-    """Write the configured dataset (CSV + sidecar) into the run directory."""
+def run_generate(cfg: dict, out_dir=None) -> tuple[Path, Dataset]:
+    """Write the configured dataset (CSV + sidecar) into the run directory;
+    returns its path and the dataset."""
     cfg, out_dir, _, data = _setup(cfg, out_dir)
     _prepare_run_dir(cfg, out_dir)
     path = out_dir / "dataset.csv"
     save_dataset(data, path)
-    return path
+    return path, data
 
 
 def dataset_notes(data: Dataset) -> dict:
@@ -197,11 +202,24 @@ def dataset_notes(data: Dataset) -> dict:
     return notes
 
 
-def run_train(cfg: dict, out_dir=None):
-    """Full training run: dataset, model, training, evaluation, artifacts.
+@dataclass(frozen=True)
+class _TrainRun:
+    """A training run, set up to its first step."""
 
-    Returns (RunReport, run directory).
-    """
+    cfg: dict
+    out_dir: Path
+    seeds: dict
+    data: Dataset
+    model: FlowModel
+    train_cfg: TrainConfig
+    label: str  # of the training drop order
+    orders: dict
+
+
+def _start_train(cfg: dict, out_dir) -> _TrainRun:
+    """What a training run does before its first step: the model, its
+    training config and drop orders, and the run directory with the config,
+    the run record and, for an inline dataset, the data."""
     cfg, out_dir, seeds, data = _setup(cfg, out_dir)
     model = build_model(cfg, data.dim, seeds["init"])
     train_cfg, label = make_train_config(cfg, model)
@@ -210,18 +228,21 @@ def run_train(cfg: dict, out_dir=None):
     _prepare_run_dir(cfg, out_dir)
     if "path" not in cfg["dataset"]:
         save_dataset(data, out_dir / "dataset.csv")
+    return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
 
-    started = time.perf_counter()
-    result = train(model, data, train_cfg, np.random.default_rng(seeds["train"]))
-    train_seconds = time.perf_counter() - started
 
+def _finish_train(run: _TrainRun, trace, result, train_seconds: float):
+    """What a training run does after its last step: evaluation, then the
+    checkpoint, trace and report.  ``result`` and ``train_seconds`` time the
+    training, of the whole stack for a stacked run."""
     started = time.perf_counter()
     report = make_run_report(
-        model, data, orders, config_hash=config_hash(cfg), seed=cfg["seed"],
+        run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
+        seed=run.cfg["seed"],
         notes={
-            "mode": "nested-dropout" if train_cfg.nd is not None else "baseline",
-            "train_order": label,
-            "dataset": dataset_notes(data),
+            "mode": "nested-dropout" if run.train_cfg.nd is not None else "baseline",
+            "train_order": run.label,
+            "dataset": dataset_notes(run.data),
         },
     )
     eval_seconds = time.perf_counter() - started
@@ -232,10 +253,53 @@ def run_train(cfg: dict, out_dir=None):
         "total_seconds": train_seconds + eval_seconds,
     })
 
-    save_model(model, out_dir / "checkpoint.json", rng_seed=cfg["seed"])
-    result.trace.save_csv(out_dir / "trace.csv")
-    save_report(report_to_dict(report), out_dir, label)
-    return report, out_dir
+    save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
+    trace.save_csv(run.out_dir / "trace.csv")
+    save_report(report_to_dict(report), run.out_dir, run.label)
+    return report, run.out_dir
+
+
+def run_train(cfg: dict, out_dir=None):
+    """Full training run: dataset, model, training, evaluation, artifacts.
+
+    Returns (RunReport, run directory).
+    """
+    run = _start_train(cfg, out_dir)
+    started = time.perf_counter()
+    result = train(run.model, run.data, run.train_cfg,
+                   np.random.default_rng(run.seeds["train"]))
+    return _finish_train(run, result.trace, result, time.perf_counter() - started)
+
+
+def _train_stack(cfgs, out_dirs) -> list:
+    """Training runs whose configs differ only in seed, trained as one seed
+    stack.  Each run writes what ``run_train`` writes for it; returns each
+    run's (RunReport, run directory), or the exception its solo
+    ``run_train`` raises."""
+    outcomes, runs = [None] * len(cfgs), {}
+    for i, (cfg, out_dir) in enumerate(zip(cfgs, out_dirs)):
+        try:
+            runs[i] = _start_train(cfg, out_dir)
+        except Exception as e:
+            outcomes[i] = e
+    if not runs:
+        return outcomes
+    started = time.perf_counter()
+    try:
+        result = train(stack_models([r.model for r in runs.values()]),
+                       [r.data for r in runs.values()], next(iter(runs.values())).train_cfg,
+                       [np.random.default_rng(r.seeds["train"]) for r in runs.values()])
+    except Exception as e:
+        return [e if o is None else o for o in outcomes]
+    seconds = time.perf_counter() - started
+    for j, (i, run) in enumerate(runs.items()):
+        outcomes[i] = result.errors[j]
+        if outcomes[i] is None:
+            try:
+                outcomes[i] = _finish_train(run, result.trace.seed(j), result, seconds)
+            except Exception as e:
+                outcomes[i] = e
+    return outcomes
 
 
 def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
@@ -303,7 +367,11 @@ def worker_count() -> int:
 
 def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
-    aggregate table and do not stop the sweep."""
+    aggregate table and do not stop the sweep.
+
+    Children whose configs differ only in seed train as one seed stack, one
+    pool job per stack.  Stacks are halved, largest first, until there are
+    at least as many jobs as pool workers."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -311,7 +379,7 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     out_dir = Path(out_dir or sweep_cfg.get("output_dir") or "runs/sweep")
 
     keys = sorted(grid)
-    jobs = []
+    children = []
     named = {}  # child directory name -> the child that took it
     for values in itertools.product(*(grid[k] for k in keys)):
         for seed in seeds:
@@ -330,18 +398,31 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
                 raise ConfigError(f"sweep children {named[name]} and {child} "
                                   f"would share the run directory {name!r}")
             named[name] = child
-            jobs.append((params, seed, cfg, out_dir / name))
+            children.append((params, seed, cfg, out_dir / name))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    payloads = [(cfg, child_dir) for _, _, cfg, child_dir in jobs]
-    workers = min(worker_count(), len(jobs), os.cpu_count() or 1)
+    workers = min(worker_count(), len(children), os.cpu_count() or 1)
+    stacks = {}
+    for i, (_, _, cfg, _) in enumerate(children):
+        stacks.setdefault(_stack_key(cfg), []).append(i)
+    jobs = list(stacks.values())
+    while len(jobs) < workers:  # some job has two children: workers <= children
+        k = max(range(len(jobs)), key=lambda j: len(jobs[j]))
+        half = len(jobs[k]) // 2
+        jobs[k : k + 1] = [jobs[k][:half], jobs[k][half:]]
+    payloads = [[children[i][2:] for i in job] for job in jobs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_try_sweep_child, payloads))
+            results = list(pool.map(_run_sweep_job, payloads))
     else:
-        outcomes = [_try_sweep_child(p) for p in payloads]
-    for (params, seed, _, child_dir), outcome in zip(jobs, outcomes):
+        results = [_run_sweep_job(p) for p in payloads]
+    outcomes = [None] * len(children)
+    for job, result in zip(jobs, results):
+        for i, outcome in zip(job, result):
+            outcomes[i] = outcome
+
+    rows = []
+    for (params, seed, _, child_dir), outcome in zip(children, outcomes):
         row = {**{k: params[k] for k in keys}, "seed": seed,
                "run_dir": str(child_dir)}
         if "error" in outcome:
@@ -362,13 +443,35 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     return out_dir
 
 
-def _try_sweep_child(payload):
-    """One sweep child's LL and MSE curve, or the error it is recorded with."""
-    try:
-        report, _ = run_train(*payload)
-    except Exception as e:
+def _stack_key(cfg: dict) -> str:
+    """Sweep children with equal keys differ only in seed and train as one
+    stack.  A random training drop order is drawn from the seed, so such a
+    child keeps its seed in its key and trains alone."""
+    nd = cfg.get("nd")
+    per_seed = isinstance(nd, dict) and nd.get("order") == "random"
+    return json.dumps({**cfg, "seed": cfg["seed"] if per_seed else None}, sort_keys=True)
+
+
+def _run_sweep_job(payloads):
+    """One pool job, a solo child or a seed stack: each child's LL and MSE
+    curve, or the error it is recorded with.  Numpy's floating-point
+    warnings are off, since the non-finite checks report each failure."""
+    with np.errstate(all="ignore"):
+        if len(payloads) == 1:
+            try:
+                outcomes = [run_train(*payloads[0])]
+            except Exception as e:
+                outcomes = [e]
+        else:
+            outcomes = _train_stack(*zip(*payloads))
+    return [_sweep_outcome(o) for o in outcomes]
+
+
+def _sweep_outcome(outcome) -> dict:
+    if isinstance(outcome, Exception):
         # keep the aggregate CSV one-cell-per-column
-        flat = f"{type(e).__name__}: {e}".replace(",", ";").replace("\n", " ")
+        flat = f"{type(outcome).__name__}: {outcome}".replace(",", ";").replace("\n", " ")
         return {"error": flat}
+    report, _ = outcome
     return {"test_ll_nats": report.test_ll_nats,
             "mse_curve": report.mse_curve.tolist()}

@@ -24,6 +24,18 @@ every transform's output, in training as in evaluation, and raise
 
 Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 ``z = W x`` become ``Z = X W^T`` on batches.
+
+Every array may carry a leading seed axis: :func:`stack_models` joins S
+models of one architecture into a seed stack whose parameters are ``(S,
+P)`` and whose batches are ``(S, N, D)``.  The arithmetic indexes from
+the end (``x[..., idx]``, ``np.matmul``, ``swapaxes(-1, -2)``, sums over
+``axis=-2``), so a solo model runs on its 2-D arrays as before, and each
+slice of a stack computes bit for bit what its solo model computes:
+stacked ``matmul``, ``np.linalg.inv`` and row sums equal their per-slice
+calls.  Where the stacked form of an operation differs from the solo one
+(a vector product, a column gather), a helper takes the solo form for a
+solo model and, for a stack, a form that equals it in every slice.  A
+check fails for the whole stack when one slice fails it.
 """
 
 from __future__ import annotations
@@ -46,9 +58,45 @@ def split_blocks(t, p) -> list:
     order, within its span ``p``."""
     blocks, start = [], 0
     for _, size in t.param_blocks:
-        blocks.append(p[start : start + size])
+        blocks.append(p[..., start : start + size])
         start += size
     return blocks
+
+
+def _dot(u, v):
+    """``u @ v`` over the last axis, kept as a column for a stack, so that
+    it scales each slice's vectors; a stack makes it a (1, D) @ (D, 1)
+    matmul per slice, bit for bit the 1-D product."""
+    if u.ndim == 1:
+        return u @ v
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0]
+
+
+def _mv(a, v):
+    """The matrix-vector product ``a @ v`` of each slice."""
+    if v.ndim == 1:
+        return a @ v
+    return np.matmul(a, v[..., None])[..., 0]
+
+
+def take_columns(x, idx):
+    """``x[..., idx]``, column-major within each slice as a solo gather
+    leaves it: which BLAS kernel a product calls, and the order of a row
+    sum, depend on that layout, and with them the last bits."""
+    if x.ndim == 2:
+        return x[:, idx]
+    out = np.empty((*x.shape[:-2], idx.size, x.shape[-2])).swapaxes(-1, -2)
+    out[...] = x[..., idx]
+    return out
+
+
+def _rows(order):
+    """An index that takes the rows of a matrix in ``order``, or those of
+    each matrix in a stack in its own row of ``order``."""
+    if order.ndim == 1:
+        return order
+    s, d = order.shape
+    return np.arange(s)[:, None, None], order[:, :, None], np.arange(d)
 
 
 class _LinearTransform:
@@ -63,50 +111,63 @@ class _LinearTransform:
     the forward and inverse contributions add up before ``vjp`` runs once.
     """
 
+    def _square(self, values, idx, diag):
+        """Matrices holding ``values`` at the index pair ``idx``, ``diag`` on
+        the diagonal and zeros elsewhere."""
+        out = np.zeros((*values.shape[:-1], self.dim, self.dim))
+        out[..., idx[0], idx[1]] = values
+        out[..., self._diag[0], self._diag[1]] = diag
+        return out
+
     def _upper(self, off, logdiag):
         """The upper triangular factor and its diagonal ``exp(s)``."""
         diag = np.exp(logdiag)
-        u = np.diag(diag)
-        u[self._up] = off
-        return u, diag
+        return self._square(off, self._up, diag), diag
 
     def _upper_grad(self, gu, diag):
         """Gradients of the upper_offdiag and upper_logdiag blocks."""
-        return [gu[self._up], np.diagonal(gu) * diag]
+        return [gu[..., self._up[0], self._up[1]],
+                np.diagonal(gu, axis1=-2, axis2=-1) * diag]
 
     def weights(self, p):
-        """``(A, diag, vjp, log|det|)``."""
+        """``(A, diag, vjp, log|det|)``; a stack's log-determinants form a
+        column, one row per seed, so that they add to per-row terms."""
         blocks = split_blocks(self, p)
-        return (*self._map(blocks), np.sum(blocks[-1]))
+        logdet = np.sum(blocks[-1], axis=-1)
+        return (*self._map(blocks), logdet[..., None] if logdet.ndim else logdet)
 
     def weights_vjp(self, w, gw):
-        g = w[2](gw[:-1])  # the factor VJP of dL/dA
-        g[-self.dim :] += gw[-1]  # d log|det| / ds = 1 for every s
+        g = w[2](gw[..., :-1, :])  # the factor VJP of dL/dA
+        g[..., -self.dim :] += gw[..., -1, :]  # d log|det| / ds = 1 for every s
         return g
 
     def forward(self, w, x):
         a, _, _, logdet = w
 
         def back(g, g_logdet):
-            ga = np.vstack([np.matmul(x.T, g), np.full(self.dim, np.sum(g_logdet))])
-            return ga, np.matmul(g, a.T)
+            ga = np.empty((*a.shape[:-2], self.dim + 1, self.dim))
+            ga[..., :-1, :] = np.matmul(x.swapaxes(-1, -2), g)
+            ga[..., -1, :] = np.sum(g_logdet, axis=-1)[..., None]
+            return ga, np.matmul(g, a.swapaxes(-1, -2))
 
         return np.matmul(x, a), logdet, back
 
     def inverse(self, w, z):
         a, diag, _, _ = w
-        zero = np.flatnonzero(diag == 0.0)
+        zero = np.nonzero(diag == 0.0)[-1]
         if zero.size:
             raise ZeroDivisionError(f"zero diagonal entry at index {zero[0]}")
         try:
             b = np.linalg.inv(a)
         except np.linalg.LinAlgError:  # a pivot underflowed to 0: numerical
             raise ZeroDivisionError(f"singular {self.kind} matrix") from None
+        bt = b.swapaxes(-1, -2)
 
         def back(g):
             # x = z @ B with B = A^-1, and dB = -B dA B.
-            ga = -np.matmul(np.matmul(b.T, np.matmul(z.T, g)), b.T)
-            return np.vstack([ga, np.zeros(self.dim)]), np.matmul(g, b.T)
+            ga = np.zeros((*b.shape[:-2], self.dim + 1, self.dim))
+            ga[..., :-1, :] = -np.matmul(np.matmul(bt, np.matmul(z.swapaxes(-1, -2), g)), bt)
+            return ga, np.matmul(g, bt)
 
         return np.matmul(z, b), back
 
@@ -118,19 +179,25 @@ class LULinearTransform(_LinearTransform):
     triangular with free strictly-lower entries; ``U`` is upper triangular
     with free strictly-upper entries and ``diag(U) = exp(s)``, so the map is
     invertible for every parameter value and ``log|det| = sum(s)``.  On
-    row batches ``A = (U^T L^T)[:, P^-1]``.
+    row batches ``A = (U^T L^T)[:, P^-1]``.  In a seed stack the
+    permutation is (S, D), one row per seed.
     """
 
     kind = "lu_linear"
+    seed_fields = ("permutation",)  # drawn from each seed's init rng
 
     def __init__(self, dim: int, permutation):
         self.dim = dim
         self.permutation = np.asarray(permutation, dtype=np.int64)
-        if sorted(self.permutation.tolist()) != list(range(dim)):
+        if self.permutation.ndim not in (1, 2) or any(
+                sorted(row) != list(range(dim))
+                for row in np.atleast_2d(self.permutation).tolist()):
             raise ValueError("permutation must be a bijection on 0..D-1")
-        self._inv_permutation = np.argsort(self.permutation)
+        self._permute = _rows(self.permutation)
+        self._unpermute = _rows(np.argsort(self.permutation))
         self._low = np.tril_indices(dim, k=-1)
         self._up = np.triu_indices(dim, k=1)
+        self._diag = np.diag_indices(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [
             ("lower", n_off),
@@ -144,15 +211,18 @@ class LULinearTransform(_LinearTransform):
 
     def _map(self, blocks):
         low, off, logdiag = blocks
-        lower = np.eye(self.dim)
-        lower[self._low] = low
+        lower = self._square(low, self._low, 1.0)
         upper, diag = self._upper(off, logdiag)
-        a = np.matmul(upper.T, lower.T)[:, self._inv_permutation]
+        upper_t, lower_t = upper.swapaxes(-1, -2), lower.swapaxes(-1, -2)
+        # Permuting the columns as rows of the transpose keeps A column-major
+        # in every slice, as a solo column gather leaves it.
+        a = np.matmul(upper_t, lower_t).swapaxes(-1, -2)[self._unpermute].swapaxes(-1, -2)
 
         def vjp(ga):
-            gc = ga[:, self.permutation]  # undo the column permutation
-            return np.concatenate([np.matmul(gc.T, upper.T)[self._low],
-                                   *self._upper_grad(np.matmul(lower.T, gc.T), diag)])
+            gct = ga.swapaxes(-1, -2)[self._permute]  # undo the column permutation
+            return np.concatenate([np.matmul(gct, upper_t)[..., self._low[0], self._low[1]],
+                                   *self._upper_grad(np.matmul(lower_t, gct), diag)],
+                                  axis=-1)
 
         return a, diag, vjp
 
@@ -182,6 +252,7 @@ class QRLinearTransform(_LinearTransform):
         if self.n_householder < 1:
             raise ValueError("need at least one Householder vector")
         self._up = np.triu_indices(dim, k=1)
+        self._diag = np.diag_indices(dim)
         n_off = dim * (dim - 1) // 2
         self.param_blocks = [(f"v{h}", dim) for h in range(self.n_householder)]
         self.param_blocks += [("upper_offdiag", n_off), ("upper_logdiag", dim)]
@@ -199,24 +270,26 @@ class QRLinearTransform(_LinearTransform):
     def _map(self, blocks):
         *vs, off, logdiag = blocks
         upper, diag = self._upper(off, logdiag)
-        a = upper.T
-        steps = []  # (v, v.v, the matrix m that v reflects, m @ v)
+        a = upper.swapaxes(-1, -2)
+        steps = []  # (v, c = 2 / v.v, 2 c / v.v, the matrix m that v reflects, m @ v)
         for v in vs:
-            s = float(v @ v)
-            if s == 0.0:
+            s = _dot(v, v)
+            if (s == 0.0).any():
                 raise ZeroDivisionError("Householder vector must be nonzero")
-            u = a @ v
-            steps.append((v, s, a, u))
-            a = a - ((2.0 / s) * u)[:, None] * v
+            c = 2.0 / s
+            u = _mv(a, v)
+            steps.append((v, c, 2.0 * c / s, a, u))
+            a = a - (c * u)[..., :, None] * v[..., None, :]
 
         def vjp(ga):
             g_vs = []
-            for v, s, m, u in reversed(steps):
-                c = 2.0 / s
-                gv = ga @ v
-                g_vs.append((-c) * (m.T @ gv + ga.T @ u) + (2.0 * c / s) * float(u @ gv) * v)
-                ga = ga - (c * gv)[:, None] * v
-            return np.concatenate([*reversed(g_vs), *self._upper_grad(ga.T, diag)])
+            for v, c, k, m, u in reversed(steps):
+                gv = _mv(ga, v)
+                g_vs.append((-c) * (_mv(m.swapaxes(-1, -2), gv) + _mv(ga.swapaxes(-1, -2), u))
+                            + (k * _dot(u, gv)) * v)
+                ga = ga - (c * gv)[..., :, None] * v[..., None, :]
+            return np.concatenate([*reversed(g_vs),
+                                   *self._upper_grad(ga.swapaxes(-1, -2), diag)], axis=-1)
 
         return a, diag, vjp
 
@@ -241,16 +314,16 @@ class OffsetTransform:
         return np.zeros(self.dim)
 
     def weights(self, p):
-        return p
+        return p[..., None, :]  # a row, broadcast over the batch
 
     def weights_vjp(self, w, gw):
         return gw
 
     def forward(self, b, x):
-        return np.add(x, b), 0.0, lambda g, g_logdet: (g.sum(axis=0), g)
+        return np.add(x, b), 0.0, lambda g, g_logdet: (g.sum(axis=-2), g)
 
     def inverse(self, b, z):
-        return np.subtract(z, b), lambda g: (-g.sum(axis=0), g)
+        return np.subtract(z, b), lambda g: (-g.sum(axis=-2), g)
 
     def config(self):
         return {"dim": self.dim}
@@ -262,17 +335,20 @@ class OffsetTransform:
 
 def standard_normal_logpdf_rows(z):
     """Per-row log density of an (N, D) array."""
-    sq = np.sum(np.square(z), axis=1)
-    return np.add(np.multiply(sq, -0.5), -0.5 * z.shape[1] * LOG_TWO_PI)
+    sq = np.sum(np.square(z), axis=-1)
+    return np.add(np.multiply(sq, -0.5), -0.5 * z.shape[-1] * LOG_TWO_PI)
 
 
 class FlowModel:
     """An ordered composition of invertible transforms over a standard-normal
     base distribution in ``D`` dimensions.  Owns the flat trainable
     parameter vector; transforms hold structure only.  ``spans[i]`` is the
-    half-open range of transform i's blocks in it."""
+    half-open range of transform i's blocks in it.
 
-    def __init__(self, dim: int, transforms, params: np.ndarray):
+    A seed stack (see :func:`stack_models`) has ``slices``, the solo models
+    it was built from, and one row of parameters per slice."""
+
+    def __init__(self, dim: int, transforms, params: np.ndarray, slices=None):
         self.dim = dim
         self.transforms = list(transforms)
         for t in self.transforms:
@@ -285,25 +361,28 @@ class FlowModel:
             self.spans.append((offset, offset + size))
             offset += size
         params = np.asarray(params, dtype=np.float64)
-        if params.size != offset:
+        if params.shape[-1:] != (offset,):
             raise ValueError(f"expected {offset} parameters, got {params.size}")
-        self.params = ParameterVector(params)
+        self.slices = slices
+        self.set_params(params)
 
     @property
     def n_params(self) -> int:
+        """Parameters per seed."""
         return len(self.params)
 
     def set_params(self, values: np.ndarray):
-        self.params = ParameterVector(values)
+        self.params = ParameterVector(values, stacked=self.slices is not None)
 
     def weights(self, theta=None) -> list:
         """Each transform's weights on its span of the plain parameter array
         ``theta`` (default: the model's own)."""
         theta = self.params.values if theta is None else theta
-        return [t.weights(theta[lo:hi]) for t, (lo, hi) in zip(self.transforms, self.spans)]
+        return [t.weights(theta[..., lo:hi])
+                for t, (lo, hi) in zip(self.transforms, self.spans)]
 
     def _check(self, out, i, direction):
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise FlowEvalError(f"non-finite {direction} output of transform {i} "
                                 f"({self.transforms[i].kind})")
 
@@ -349,13 +428,13 @@ class FlowModel:
         of its per-row log-determinants, adding each transform's weights
         gradient from ``inverse_gws``; returns the flat parameter gradient,
         each transform writing its own span."""
-        grad = np.empty(self.n_params)
+        grad = np.empty((*g_z.shape[:-2], self.n_params))
         for i in range(len(self.transforms) - 1, -1, -1):
             gw, g_z = backs[i](g_z, g_logdet)
             if inverse_gws is not None:
                 gw = inverse_gws[i] + gw
             lo, hi = self.spans[i]
-            grad[lo:hi] = self.transforms[i].weights_vjp(ws[i], gw)
+            grad[..., lo:hi] = self.transforms[i].weights_vjp(ws[i], gw)
         return grad
 
     def forward_batch(self, x):
@@ -365,6 +444,24 @@ class FlowModel:
     def inverse_batch(self, z):
         """Map latent rows back to data rows."""
         return self.inverse_pass(self.weights(), z)
+
+
+def stack_models(models) -> FlowModel:
+    """One seed stack of same-architecture models: their parameters are the
+    rows of one (S, P) array.  Each transform is shared, except that one
+    with per-seed frozen structure (its ``seed_fields``, such as the LU
+    permutation) is rebuilt with that structure stacked."""
+    transforms = []
+    for ts in zip(*(m.transforms for m in models), strict=True):
+        fields = getattr(ts[0], "seed_fields", ())
+        cfgs = [t.config() for t in ts]
+        shared = [{k: v for k, v in c.items() if k not in fields} for c in cfgs]
+        if any(type(t) is not type(ts[0]) or c != shared[0] for t, c in zip(ts, shared)):
+            raise ValueError("a seed stack needs models of one architecture")
+        transforms.append(type(ts[0]).from_config(
+            {**cfgs[0], **{k: [c[k] for c in cfgs] for k in fields}}) if fields else ts[0])
+    return FlowModel(models[0].dim, transforms,
+                     np.stack([m.params.values for m in models]), slices=list(models))
 
 
 def build_lu_flow(dim: int, rng: np.random.Generator, offset: bool = False) -> FlowModel:

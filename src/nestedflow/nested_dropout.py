@@ -88,13 +88,13 @@ class NestedDropoutConfig:
 
 def keep_mask(ks, order, K: int) -> np.ndarray:
     """Boolean (N, K) mask, True where the latent coordinate's ordering rank
-    is below the row's truncation index."""
+    is below the row's truncation index; (S, N, K) for (S, N) indices."""
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
-    if np.any((ks < 1) | (ks > K)):
+    if ((ks < 1) | (ks > K)).any():
         raise ValueError(f"truncation index out of range [1, {K}]")
     rank = np.empty(K, dtype=np.int64)
     rank[np.asarray(order, dtype=np.int64)] = np.arange(K)
-    return rank[None, :] < ks[:, None]
+    return rank[None, :] < ks[..., None]
 
 
 def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
@@ -107,6 +107,11 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     reconstruction pass is skipped entirely and the total is exactly the
     mean NLL.
 
+    For a seed stack ``m``, ``x`` is (S, N, D) and ``ks`` (S, N), and each
+    returned term is an array with one value per seed (``recon_mean`` stays
+    0.0 when the reconstruction pass is skipped); each seed's values and
+    gradient row are bit for bit those of its solo model.
+
     Everything runs in numpy, at ``theta`` (a plain array, an
     :class:`~nestedflow.autodiff.Var` or None for the model's parameters).
     When ``theta`` is a ``Var``, ``total`` is a ``Var`` over it whose VJP is
@@ -115,18 +120,18 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     span of the gradient.
     """
     x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
+    n, d = x.shape[-2:]
     ws = m.weights(theta.value if isinstance(theta, ad.Var) else theta)
     forward_backs, inverse_backs = [], []
     z, logdet = m.forward_pass(ws, x, forward_backs)
     ll = np.add(standard_normal_logpdf_rows(z), logdet)
-    nll_mean = np.multiply(np.sum(ll), -1.0 / n)
+    nll_mean = np.multiply(np.sum(ll, axis=-1), -1.0 / n)
     total, recon_mean = nll_mean, 0.0
     penalised = cfg is not None and cfg.lam != 0.0
     if penalised:
         mask = keep_mask(ks, cfg.drop_order, d).astype(np.float64)
         diff = np.subtract(m.inverse_pass(ws, np.multiply(z, mask), inverse_backs), x)
-        recon_mean = np.multiply(np.sum(np.square(diff)), 1.0 / (n * d))
+        recon_mean = np.multiply(np.sum(np.square(diff), axis=(-2, -1)), 1.0 / (n * d))
         total = np.add(nll_mean, np.multiply(recon_mean, cfg.lam))
 
     def sweep(g):
@@ -142,4 +147,6 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
 
     if isinstance(theta, ad.Var):
         total = ad.Var(total, ((theta, sweep),))
+    if np.ndim(nll_mean):
+        return total, nll_mean, recon_mean
     return total, float(nll_mean), float(recon_mean)

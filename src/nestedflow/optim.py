@@ -6,6 +6,10 @@ reconstruction penalty is active), evaluates the objective and its gradient
 (one call of the objective's VJP, the flow's explicit reverse sweep), and
 applies one bias-corrected Adam step.  The loss terms and learning rate of
 every iteration are recorded as a trace.
+
+A seed stack of S models trains in the same loop: each seed draws from its
+own generator, the stack takes one step on (S, B, D) batches, and Adam
+updates its (S, P) parameters and moments elementwise.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import NonFiniteLossError, evaluate_with_gradient
-from .flows import FlowEvalError, FlowModel
+from .flows import FlowEvalError, FlowModel, stack_models
 from .nested_dropout import NestedDropoutConfig, loss_terms, sample_ks
 
 ADAM_BETA1 = 0.9
@@ -28,9 +32,10 @@ LR_SCHEDULES = ("constant", "cosine-to-zero")
 
 
 class TrainDivergenceError(ArithmeticError):
-    """Training hit a non-finite loss, gradient or flow output; the message
-    carries the iteration index, the transform index, kind and direction
-    when a flow output went non-finite, and the last finite loss terms."""
+    """Training hit a non-finite loss, gradient, flow output or parameter
+    update; the message carries the iteration index, the transform index,
+    kind and direction when a flow output went non-finite, and the last
+    finite loss terms."""
 
 
 @dataclass(frozen=True)
@@ -40,14 +45,18 @@ class AdamState:
     step_count: int = 0
 
 
-def init_adam(n_params: int) -> AdamState:
+def init_adam(n_params) -> AdamState:
+    """Zero moments for ``n_params`` parameters, or for the (S, P) shape of
+    a seed stack's."""
     return AdamState(np.zeros(n_params), np.zeros(n_params))
 
 
 def adam_step(state: AdamState, theta: np.ndarray, gradient: np.ndarray,
               lr: float):
-    """One bias-corrected Adam update; returns (new_theta, new_state)."""
-    if not np.all(np.isfinite(gradient)):
+    """One bias-corrected Adam update; returns (new_theta, new_state).
+    Every operation is elementwise, so a seed stack's (S, P) parameters,
+    gradients and moments update each row as its solo run does."""
+    if not np.isfinite(gradient).all():
         raise TrainDivergenceError(
             f"non-finite gradient at optimizer step {state.step_count + 1}")
     t = state.step_count + 1
@@ -92,12 +101,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-iteration objective decomposition."""
+    """Per-iteration objective decomposition; a stack's terms have a
+    leading seed axis."""
 
     iteration: np.ndarray
     nll_term: np.ndarray
     recon_term: np.ndarray
     lr: np.ndarray
+
+    def seed(self, s: int) -> "TrainTrace":
+        """Seed ``s``'s trace, from a stack's."""
+        return TrainTrace(self.iteration, self.nll_term[s], self.recon_term[s], self.lr[s])
 
     def save_csv(self, path):
         with open(path, "w") as f:
@@ -111,62 +125,138 @@ class TrainTrace:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """``errors`` holds, per seed, None or the error its solo run raises;
+    a solo run raises it instead."""
+
     model: FlowModel
     trace: TrainTrace
     seconds: float
     seconds_per_step: float
+    errors: tuple = (None,)
 
 
-def train(m: FlowModel, train_points: np.ndarray, cfg: TrainConfig,
-          rng: np.random.Generator) -> TrainResult:
+def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
     """Run cfg.iterations Adam steps of the (optionally ND-penalized)
     objective on minibatches sampled with replacement.
 
     The model is updated in place and also returned.  Per iteration the rng
     is consumed in a fixed order (batch indices, then truncation indices),
     so identical (config, rng state) give bit-identical trajectories.
+
+    A seed stack ``m`` (:func:`~nestedflow.flows.stack_models`) takes one
+    training set and one generator per seed, in lists, and consumes each
+    generator as its solo run does; one step moves every seed.  When a
+    stacked step fails, each seed replays it alone: a seed whose replay
+    fails drops out with the error its solo run raises, and the others go
+    on from their replayed step.  At the end each slice model holds its
+    seed's parameters.
     """
-    if hasattr(train_points, "get_split"):
-        train_points = train_points.get_split("train")
-    x_all = np.asarray(train_points, dtype=np.float64)
-    if x_all.ndim != 2 or x_all.shape[0] == 0:
-        raise ValueError("training split must be a nonempty (N, D) table")
-    n_total = x_all.shape[0]
-    state = init_adam(m.n_params)
-    it = np.arange(cfg.iterations)
-    trace_nll = np.empty(cfg.iterations)
-    trace_recon = np.empty(cfg.iterations)
-    trace_lr = np.empty(cfg.iterations)
+    stacked = m.slices is not None
+    points, rngs = (train_points, rng) if stacked else ([train_points], [rng])
+    tables = [_train_table(p) for p in points]
+    terms = np.empty((3, len(tables), cfg.iterations))  # nll, recon, lr per seed
+    errors = [None] * len(tables)
+    live = list(range(len(tables)))  # the seeds still training, in stack order
+    state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
-        idx = rng.integers(0, n_total, size=cfg.batch_size)
-        x = x_all[idx]
-        if cfg.nd is not None and cfg.nd.lam > 0.0:
-            ks = sample_ks(cfg.nd.schedule, rng, cfg.batch_size)
-        else:
-            ks = None
-
-        def objective(theta):
-            total, trace_nll[t], trace_recon[t] = loss_terms(m, x, ks, cfg.nd, theta)
-            return total
-
-        lr = cfg.lr_at(t)
+        batches = [_batch(tables[s], cfg, rngs[s]) for s in live]
         try:
-            record = evaluate_with_gradient(objective, m.params)
-        except (NonFiniteLossError, FlowEvalError) as e:
-            last = _last_finite(trace_nll, trace_recon, t)
-            raise TrainDivergenceError(
-                f"training diverged at iteration {t}: {e}; "
-                f"last finite terms: {last}") from e
-        theta, state = adam_step(state, m.params.values, record.gradient, lr)
-        m.set_params(theta)
-        trace_lr[t] = lr
+            if stacked:
+                x, ks = zip(*batches)
+                state = _step(m, np.array(x), None if ks[0] is None else np.array(ks),
+                              cfg, state, t, terms, live)
+            else:
+                state = _step(m, *batches[0], cfg, state, t, terms, 0)
+        except ArithmeticError as e:
+            if not stacked:
+                raise _diverged(e, terms, 0, t)
+            m, state, live = _replay_alone(m, batches, cfg, state, t, terms, live, errors)
+            if not live:
+                break
     seconds = time.perf_counter() - started
-    trace = TrainTrace(iteration=it, nll_term=trace_nll,
-                       recon_term=trace_recon, lr=trace_lr)
+    if stacked and live:
+        for solo, theta in zip(m.slices, m.params.values):
+            solo.set_params(theta)
+    nll, recon, lr = terms if stacked else terms[:, 0]
+    trace = TrainTrace(iteration=np.arange(cfg.iterations), nll_term=nll,
+                       recon_term=recon, lr=lr)
     per_step = seconds / cfg.iterations if cfg.iterations else 0.0
     return TrainResult(model=m, trace=trace, seconds=seconds,
-                       seconds_per_step=per_step)
+                       seconds_per_step=per_step, errors=tuple(errors))
+
+
+def _train_table(points) -> np.ndarray:
+    if hasattr(points, "get_split"):
+        points = points.get_split("train")
+    x_all = np.asarray(points, dtype=np.float64)
+    if x_all.ndim != 2 or x_all.shape[0] == 0:
+        raise ValueError("training split must be a nonempty (N, D) table")
+    return x_all
+
+
+def _batch(x_all, cfg: TrainConfig, rng):
+    """One iteration's draws from one seed's generator: the batch rows, then
+    the truncation indices when the reconstruction penalty is active."""
+    x = np.take(x_all, rng.integers(0, x_all.shape[0], size=cfg.batch_size), axis=0)
+    if cfg.nd is not None and cfg.nd.lam > 0.0:
+        return x, sample_ks(cfg.nd.schedule, rng, cfg.batch_size)
+    return x, None
+
+
+def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
+    """Iteration t of a model or a stack: its loss terms and learning rate
+    go to ``terms`` at ``rows`` (its seeds), its parameters take one Adam
+    step; returns the new Adam state."""
+    def objective(theta):
+        total, terms[0, rows, t], terms[1, rows, t] = loss_terms(m, x, ks, cfg.nd, theta)
+        return total
+
+    lr = cfg.lr_at(t)
+    record = evaluate_with_gradient(objective, m.params)
+    theta, state = adam_step(state, m.params.values, record.gradient, lr)
+    if not np.isfinite(theta).all():
+        raise TrainDivergenceError(f"training diverged at iteration {t}: the Adam "
+                                   f"step made the parameters non-finite")
+    m.set_params(theta)
+    terms[2, rows, t] = lr
+    return state
+
+
+def _replay_alone(m, batches, cfg: TrainConfig, state: AdamState, t: int, terms,
+                  live: list, errors: list):
+    """Replay a failed stacked step t one seed at a time, each on its slice
+    model.  A seed whose replay fails gets the error its solo run raises in
+    ``errors``; the stack of the others, with their replayed step taken, goes
+    on.  Returns that stack, its Adam state and its seeds."""
+    kept, states = [], []
+    for j, (solo, batch) in enumerate(zip(m.slices, batches)):
+        solo.set_params(m.params.values[j])
+        seed_state = replace(state, first_moment=state.first_moment[j],
+                             second_moment=state.second_moment[j])
+        try:
+            states.append(_step(solo, *batch, cfg, seed_state, t, terms, live[j]))
+            kept.append(j)
+        except ArithmeticError as e:
+            errors[live[j]] = _diverged(e, terms, live[j], t)
+    if not kept:
+        return m, state, []
+    return (stack_models([m.slices[j] for j in kept]),
+            AdamState(np.stack([st.first_moment for st in states]),
+                      np.stack([st.second_moment for st in states]), t + 1),
+            [live[j] for j in kept])
+
+
+def _diverged(e: ArithmeticError, terms, row: int, t: int) -> ArithmeticError:
+    """The error a solo run raises for its failed iteration t: a non-finite
+    loss, gradient or flow output becomes a TrainDivergenceError with the
+    last finite loss terms; any other error stands as it is."""
+    if not isinstance(e, (NonFiniteLossError, FlowEvalError)):
+        return e
+    err = TrainDivergenceError(f"training diverged at iteration {t}: {e}; "
+                               f"last finite terms: {_last_finite(terms[0, row], terms[1, row], t)}")
+    err.__cause__ = e
+    return err
 
 
 def _last_finite(nll, recon, t) -> str:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nestedflow.checkpoint import model_to_dict
+from nestedflow import experiment
 from nestedflow.cli import main
 from nestedflow.coupling import build_multiscale_flow
-from nestedflow.datasets import gen_synthetic_gaussian
+from nestedflow.datasets import gen_synthetic_gaussian, load_dataset
 from nestedflow.evaluation import deterministic_report_bytes
 from nestedflow.experiment import derive_seeds, run_train
 from nestedflow.flows import build_lu_flow, build_qr_flow
@@ -42,6 +45,42 @@ def test_generate_writes_dataset(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "64 rows x 3 columns" in printed
     assert "split train: rows [0, 48)" in printed
+
+
+def test_generate_prints_statistics_of_the_written_file(tmp_path, capsys):
+    """generate prints from the dataset it holds; %.17g round-trips, so
+    that equals what the written CSV reads back as."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg_path), "--output", str(out)]) == 0
+    data = load_dataset(out / "dataset.csv")
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1:3] == [
+        "per-coordinate mean: " + np.array2string(data.points.mean(axis=0), precision=4),
+        "per-coordinate variance: " + np.array2string(data.points.var(axis=0), precision=4),
+    ]
+
+
+def test_build_identifier_is_resolved_once_per_process(tmp_path, monkeypatch):
+    git_calls = []
+    run = subprocess.run
+
+    def counting_run(args, *rest, **kwargs):
+        if args[0] == "git":
+            git_calls.append(args)
+        return run(args, *rest, **kwargs)
+
+    monkeypatch.setattr(experiment.subprocess, "run", counting_run)
+    experiment.build_identifier.cache_clear()
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    for name in ("a", "b"):
+        assert main(["train", "--config", str(cfg_path),
+                     "--output", str(tmp_path / name)]) == 0
+    assert len(git_calls) == 1
+    assert (tmp_path / "a" / "run.json").read_bytes() == \
+        (tmp_path / "b" / "run.json").read_bytes()
 
 
 def test_generate_is_deterministic(tmp_path):
@@ -547,6 +586,51 @@ def test_numerical_blowup_exits_two(tmp_path, capsys):
                      "--output", str(tmp_path / "run")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+OVERFLOWING_LR = 1.7976931348623157e308  # the Adam update overflows to inf
+
+
+def run_cli_process(*argv, threads="1"):
+    """The CLI in a fresh interpreter, where numpy warnings are not captured."""
+    env = dict(os.environ, NESTEDFLOW_THREADS=threads,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "nestedflow.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_overflowing_update_exits_two_with_one_line(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path,
+                 dataset={"generator": "synthetic-gaussian", "n_train": 16, "n_test": 8},
+                 train={"iterations": 5, "batch_size": 8, "lr_initial": OVERFLOWING_LR},
+                 nd={"lambda": 20.0, "p": 0.33})
+    proc = run_cli_process("train", "--config", str(cfg_path),
+                           "--output", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "numerical failure: training diverged at iteration 0: the Adam step "
+        "made the parameters non-finite"]
+
+
+def test_parallel_sweep_with_a_diverging_stack_prints_no_warning(tmp_path):
+    base = {"dataset": {"generator": "synthetic-gaussian", "n_train": 16, "n_test": 8},
+            "model": {"kind": "qr-linear"},
+            "train": {"iterations": 5, "batch_size": 8, "lr_initial": 0.01},
+            "nd": {"lambda": 20.0, "p": 0.33}}
+    sweep = {"base": base, "grid": {"train.lr_initial": [0.01, OVERFLOWING_LR]},
+             "seeds": [0, 1]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep"
+    proc = run_cli_process("sweep", "--config", str(cfg_path), "--output", str(out),
+                           threads="2")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    with open(out / "aggregate.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["status"] for r in rows] == ["ok", "ok", "failed", "failed"]
+    assert all("iteration 0" in r["error"] for r in rows[2:])
 
 
 def test_argparse_failures_exit_one(capsys):

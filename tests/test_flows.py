@@ -17,10 +17,11 @@ from nestedflow.flows import (
     QRLinearTransform,
     build_lu_flow,
     build_qr_flow,
+    stack_models,
     standard_normal_logpdf_rows,
 )
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
-from test_coupling import count_graph_nodes
+from test_coupling import assert_stack_matches_solo, count_graph_nodes
 
 
 def identity_model(dim=3):
@@ -356,3 +357,48 @@ def test_stack_round_trip_logdet_and_gradient(problem):
     # Round-off of a central difference at step h is about 50 eps |f| / h.
     atol = 1e-7 + 50 * np.finfo(float).eps * abs(analytic.value) / 1e-5
     assert np.all(np.abs(analytic.gradient - numeric) <= atol + 1e-4 * np.abs(numeric))
+
+
+@st.composite
+def linear_seed_stacks(draw):
+    """1-4 seeds of one random stack of 1-4 offset, qr and lu transforms:
+    each seed draws its own parameters and LU permutations, a batch and
+    truncation indices; lambda 0 skips the inverse pass."""
+    n_seeds = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["offset", "qr", "lu"]), min_size=1, max_size=4))
+    householders = [draw(st.integers(1, 2 * dim)) for _ in kinds]
+    batch = draw(st.integers(1, 5))
+    lam = draw(st.sampled_from([0.0, 0.5, 20.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    models = []
+    for _ in range(n_seeds):
+        transforms = [OffsetTransform(dim) if kind == "offset"
+                      else QRLinearTransform(dim, h) if kind == "qr"
+                      else LULinearTransform(dim, rng.permutation(dim))
+                      for kind, h in zip(kinds, householders)]
+        params = np.concatenate([t.init_params(rng) for t in transforms])
+        models.append(FlowModel(dim, transforms,
+                                params + 0.3 * rng.standard_normal(params.size)))
+    x = rng.standard_normal((n_seeds, batch, dim))
+    ks = rng.integers(1, dim + 1, size=(n_seeds, batch))
+    cfg = NestedDropoutConfig(lam=lam, schedule=GeometricSchedule(p=0.3, K=dim),
+                              drop_order=rng.permutation(dim))
+    return models, x, ks, cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_seed_stacks())
+def test_linear_seed_stack_matches_solo_bitwise(problem):
+    assert_stack_matches_solo(*problem)
+
+
+def test_stack_models_rejects_mixed_architectures():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="one architecture"):
+        stack_models([build_qr_flow(3, rng), build_qr_flow(3, rng, n_householder=2)])
+    with pytest.raises(ValueError, match="one architecture"):
+        stack_models([build_qr_flow(3, rng), build_lu_flow(3, rng)])
+    lu = stack_models([build_lu_flow(3, rng) for _ in range(3)])
+    assert lu.transforms[0].permutation.shape == (3, 3)
+    assert lu.params.values.shape == (3, lu.n_params)
