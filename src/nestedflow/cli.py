@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 numerical failure: any
 ``ArithmeticError``, the base of the package's own numerical errors
-(non-finite loss, training divergence, non-finite flow output) and of the
-``ZeroDivisionError`` a QR/LU layer raises on a zero Householder vector
-or, when inverting, on a zero diagonal entry of its triangular factor or a
-matrix that is singular in floating point.
+(non-finite loss, training divergence, a non-finite flow output or a
+singular QR/LU factor met in an inverse pass, a report's failed checks) and
+of the ``ZeroDivisionError`` a QR layer raises on a zero Householder vector.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    report, out_dir = experiment.run_train(cfg, args.output)
+    report, out_dir = experiment.run_train(cfg, args.output, experiment.worker_count())
     print(f"run directory: {out_dir}")
     print(f"{report.split} LL: {report.test_ll_nats:.4f} nats "
           f"({report.test_bpd:.4f} bits/dim)")
@@ -106,7 +105,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    result, out_dir = experiment.run_eval(cfg, args.checkpoint, args.output)
+    result, out_dir = experiment.run_eval(cfg, args.checkpoint, args.output,
+                                          experiment.worker_count())
     print(f"run directory: {out_dir}")
     if args.checkpoint is None:
         curve = result["results"]["mse_curve"]

@@ -231,10 +231,10 @@ def _start_train(cfg: dict, out_dir) -> _TrainRun:
     return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
 
 
-def _finish_train(run: _TrainRun, trace, result, train_seconds: float):
-    """What a training run does after its last step: evaluation, then the
-    checkpoint, trace and report.  ``result`` and ``train_seconds`` time the
-    training, of the whole stack for a stacked run."""
+def _finish_train(run: _TrainRun, trace, result, train_seconds: float, threads: int):
+    """What a training run does after its last step: evaluation on
+    ``threads`` threads, then the checkpoint, trace and report.  ``result``
+    and ``train_seconds`` time the training, of the whole stack if stacked."""
     started = time.perf_counter()
     report = make_run_report(
         run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
@@ -244,12 +244,14 @@ def _finish_train(run: _TrainRun, trace, result, train_seconds: float):
             "train_order": run.label,
             "dataset": dataset_notes(run.data),
         },
+        threads=threads,
     )
     eval_seconds = time.perf_counter() - started
     report = replace(report, wall_clock={
         "train_seconds": result.seconds,
         "train_seconds_per_step": result.seconds_per_step,
         "eval_seconds": eval_seconds,
+        "eval_threads": threads,
         "total_seconds": train_seconds + eval_seconds,
     })
 
@@ -259,8 +261,9 @@ def _finish_train(run: _TrainRun, trace, result, train_seconds: float):
     return report, run.out_dir
 
 
-def run_train(cfg: dict, out_dir=None):
-    """Full training run: dataset, model, training, evaluation, artifacts.
+def run_train(cfg: dict, out_dir=None, threads: int = 1):
+    """Full training run: dataset, model, training, evaluation on
+    ``threads`` threads, artifacts.
 
     Returns (RunReport, run directory).
     """
@@ -268,10 +271,10 @@ def run_train(cfg: dict, out_dir=None):
     started = time.perf_counter()
     result = train(run.model, run.data, run.train_cfg,
                    np.random.default_rng(run.seeds["train"]))
-    return _finish_train(run, result.trace, result, time.perf_counter() - started)
+    return _finish_train(run, result.trace, result, time.perf_counter() - started, threads)
 
 
-def _train_stack(cfgs, out_dirs) -> list:
+def _train_stack(cfgs, out_dirs, threads: int) -> list:
     """Training runs whose configs differ only in seed, trained as one seed
     stack.  Each run writes what ``run_train`` writes for it; returns each
     run's (RunReport, run directory), or the exception its solo
@@ -296,15 +299,16 @@ def _train_stack(cfgs, out_dirs) -> list:
         outcomes[i] = result.errors[j]
         if outcomes[i] is None:
             try:
-                outcomes[i] = _finish_train(run, result.trace.seed(j), result, seconds)
+                outcomes[i] = _finish_train(run, result.trace.seed(j), result, seconds,
+                                            threads)
             except Exception as e:
                 outcomes[i] = e
     return outcomes
 
 
-def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
+def run_eval(cfg: dict, checkpoint_path=None, out_dir=None, threads: int = 1):
     """Evaluate a stored checkpoint (or, without one, the PCA oracle) on the
-    configured dataset."""
+    configured dataset, on ``threads`` threads."""
     cfg, out_dir, seeds, data = _setup(cfg, out_dir)
     _prepare_run_dir(cfg, out_dir)
     if checkpoint_path is None:
@@ -321,6 +325,7 @@ def run_eval(cfg: dict, checkpoint_path=None, out_dir=None):
         model, data, orders, config_hash=config_hash(cfg), seed=cfg["seed"],
         notes={"mode": "eval", "checkpoint": str(checkpoint_path),
                "dataset": dataset_notes(data)},
+        threads=threads,
     )
     save_report(report_to_dict(report), out_dir, next(iter(orders)))
     return report, out_dir
@@ -358,6 +363,7 @@ def apply_override(cfg: dict, dotted: str, value) -> None:
 
 
 def worker_count() -> int:
+    """CPUs one command may keep busy: ``NESTEDFLOW_THREADS``, default 1."""
     raw = os.environ.get("NESTEDFLOW_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -371,7 +377,8 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
     Children whose configs differ only in seed train as one seed stack, one
     pool job per stack.  Stacks are halved, largest first, until there are
-    at least as many jobs as pool workers."""
+    at least as many jobs as pool workers.  Each worker evaluates on its
+    share of ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -401,7 +408,9 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             children.append((params, seed, cfg, out_dir / name))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    workers = min(worker_count(), len(children), os.cpu_count() or 1)
+    budget = worker_count()
+    workers = min(budget, len(children), os.cpu_count() or 1)
+    run_job = functools.partial(_run_sweep_job, threads=max(1, budget // workers))
     stacks = {}
     for i, (_, _, cfg, _) in enumerate(children):
         stacks.setdefault(_stack_key(cfg), []).append(i)
@@ -413,9 +422,9 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     payloads = [[children[i][2:] for i in job] for job in jobs]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_job, payloads))
+            results = list(pool.map(run_job, payloads))
     else:
-        results = [_run_sweep_job(p) for p in payloads]
+        results = [run_job(p) for p in payloads]
     outcomes = [None] * len(children)
     for job, result in zip(jobs, results):
         for i, outcome in zip(job, result):
@@ -452,18 +461,19 @@ def _stack_key(cfg: dict) -> str:
     return json.dumps({**cfg, "seed": cfg["seed"] if per_seed else None}, sort_keys=True)
 
 
-def _run_sweep_job(payloads):
-    """One pool job, a solo child or a seed stack: each child's LL and MSE
-    curve, or the error it is recorded with.  Numpy's floating-point
-    warnings are off, since the non-finite checks report each failure."""
+def _run_sweep_job(payloads, threads: int):
+    """One pool job, a solo child or a seed stack, evaluated on ``threads``
+    threads: each child's LL and MSE curve, or the error it is recorded
+    with.  Numpy's floating-point warnings are off, since the non-finite
+    checks report each failure."""
     with np.errstate(all="ignore"):
         if len(payloads) == 1:
             try:
-                outcomes = [run_train(*payloads[0])]
+                outcomes = [run_train(*payloads[0], threads=threads)]
             except Exception as e:
                 outcomes = [e]
         else:
-            outcomes = _train_stack(*zip(*payloads))
+            outcomes = _train_stack(*zip(*payloads), threads)
     return [_sweep_outcome(o) for o in outcomes]
 
 

@@ -20,7 +20,8 @@ the ``back`` closures when asked, and :meth:`FlowModel.inverse_vjp` and
 :meth:`FlowModel.forward_vjp` run them in reverse: the explicit
 sweep that differentiates the nested-dropout loss.  Both passes check
 every transform's output, in training as in evaluation, and raise
-:class:`FlowEvalError` naming the transform index, kind and direction.
+:class:`FlowEvalError` naming the transform index, kind and direction; the
+inverse pass raises one too for a QR/LU layer's singular factor.
 
 Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 ``z = W x`` become ``Z = X W^T`` on batches.
@@ -50,7 +51,7 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
 class FlowEvalError(ArithmeticError):
-    """A transform produced a non-finite intermediate value."""
+    """A non-finite or singular transform, or a report that fails a check."""
 
 
 def split_blocks(t, p) -> list:
@@ -406,7 +407,11 @@ class FlowModel:
         when given, receives the ``back`` closures in transform order."""
         x = z
         for i in range(len(self.transforms) - 1, -1, -1):
-            x, back = self.transforms[i].inverse(ws[i], x)
+            try:
+                x, back = self.transforms[i].inverse(ws[i], x)
+            except ZeroDivisionError as e:  # a QR/LU layer's singular factor
+                raise FlowEvalError(f"inverse of transform {i} "
+                                    f"({self.transforms[i].kind}): {e}") from e
             self._check(x, i, "inverse")
             if backs is not None:
                 backs.insert(0, back)

@@ -33,8 +33,8 @@ LR_SCHEDULES = ("constant", "cosine-to-zero")
 
 class TrainDivergenceError(ArithmeticError):
     """Training hit a non-finite loss, gradient, flow output or parameter
-    update; the message carries the iteration index, the transform index,
-    kind and direction when a flow output went non-finite, and the last
+    update, or a singular factor; the message carries the iteration index,
+    the failing transform's index, kind and direction, if any, and the last
     finite loss terms."""
 
 
@@ -249,8 +249,8 @@ def _replay_alone(m, batches, cfg: TrainConfig, state: AdamState, t: int, terms,
 
 def _diverged(e: ArithmeticError, terms, row: int, t: int) -> ArithmeticError:
     """The error a solo run raises for its failed iteration t: a non-finite
-    loss, gradient or flow output becomes a TrainDivergenceError with the
-    last finite loss terms; any other error stands as it is."""
+    loss or gradient, or a FlowEvalError, becomes a TrainDivergenceError with
+    the last finite loss terms; any other error stands as it is."""
     if not isinstance(e, (NonFiniteLossError, FlowEvalError)):
         return e
     err = TrainDivergenceError(f"training diverged at iteration {t}: {e}; "

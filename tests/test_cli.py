@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -633,6 +634,50 @@ def test_parallel_sweep_with_a_diverging_stack_prints_no_warning(tmp_path):
     assert all("iteration 0" in r["error"] for r in rows[2:])
 
 
+def unstable_qr_config(path, lr, seed=1):
+    """A 3-D qr run whose learning rate breaks the flow within 30 steps."""
+    return write_config(path,
+                        dataset={"generator": "synthetic-gaussian", "n_train": 16, "n_test": 8},
+                        train={"iterations": 30, "batch_size": 8, "lr_initial": lr},
+                        nd={"lambda": 20.0, "p": 0.33}, seed=seed)
+
+
+def test_inexact_full_rank_reconstruction_exits_two_with_one_line(tmp_path):
+    """A run that trains to an ill-conditioned flow fails its report's
+    full-rank check: a numerical failure."""
+    unstable_qr_config(tmp_path / "cfg.json", 20.0)
+    proc = run_cli_process("train", "--config", str(tmp_path / "cfg.json"),
+                           "--output", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: full-rank reconstruction MSE ")
+    assert line.endswith(" exceeds 1e-8")
+
+
+def test_singular_factor_in_training_names_iteration_and_transform(tmp_path):
+    """A singular factor met in a training step is a divergence at that
+    iteration, naming the transform, solo and in a seed stack alike."""
+    unstable_qr_config(tmp_path / "cfg.json", 150.0)
+    proc = run_cli_process("train", "--config", str(tmp_path / "cfg.json"),
+                           "--output", str(tmp_path / "run"))
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    prefix = "numerical failure: "
+    assert re.fullmatch(r"numerical failure: training diverged at iteration \d+: inverse "
+                        r"of transform 0 \(qr_linear\): singular qr_linear matrix; "
+                        r"last finite terms: .*", line)
+    base = unstable_qr_config(tmp_path / "base.json", 150.0)
+    sweep = {"base": base, "grid": {"train.iterations": [30]}, "seeds": [0, 1, 2]}
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(tmp_path / "sweep.json"),
+                 "--output", str(out)]) == 0
+    with open(out / "aggregate.csv", newline="") as f:
+        errors = {r["seed"]: r["error"] for r in csv.DictReader(f)}
+    assert errors["1"] == "TrainDivergenceError: " + \
+        line[len(prefix):].replace(",", ";")
+
+
 def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -767,8 +812,9 @@ def test_sweep_worker_env(tmp_path, monkeypatch):
 
 
 def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
-    """A sweep run by two worker processes writes every child's files and
-    the aggregate table byte for byte as a serial sweep does."""
+    """A sweep run by two worker processes, with one or two evaluation
+    threads each, writes every child's files and the aggregate table byte
+    for byte as a serial sweep does."""
     base = write_config(tmp_path / "base.json",
                         train={"iterations": 60, "batch_size": 16,
                                "lr_initial": 0.01},
@@ -779,24 +825,29 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(sweep))
     outs = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         monkeypatch.setenv("NESTEDFLOW_THREADS", threads)
         outs[threads] = tmp_path / f"threads{threads}"
         assert main(["sweep", "--config", str(cfg_path),
                      "--output", str(outs[threads])]) == 0
-    serial, parallel = outs["1"], outs["2"]
+    serial = outs["1"]
     children = sorted(p.name for p in serial.iterdir() if p.is_dir())
     assert len(children) == 8
-    assert children == sorted(p.name for p in parallel.iterdir() if p.is_dir())
-    for name in children:
-        for file in ("checkpoint.json", "trace.csv"):
-            assert (serial / name / file).read_bytes() == \
-                (parallel / name / file).read_bytes()
-        assert deterministic_report_bytes(serial / name / "report.json") == \
-            deterministic_report_bytes(parallel / name / "report.json")
-    aggregate = [(out / "aggregate.csv").read_text().replace(str(out), "")
-                 for out in (serial, parallel)]
-    assert aggregate[0] == aggregate[1]
+    for threads, parallel in outs.items():
+        assert children == sorted(p.name for p in parallel.iterdir() if p.is_dir())
+        # each worker evaluates on its share of the threads
+        share = int(threads) // min(int(threads), len(children), os.cpu_count() or 1)
+        for name in children:
+            for file in ("checkpoint.json", "trace.csv"):
+                assert (serial / name / file).read_bytes() == \
+                    (parallel / name / file).read_bytes()
+            assert deterministic_report_bytes(serial / name / "report.json") == \
+                deterministic_report_bytes(parallel / name / "report.json")
+            report = json.loads((parallel / name / "report.json").read_text())
+            assert report["timing"]["eval_threads"] == share
+        aggregate = [(out / "aggregate.csv").read_text().replace(str(out), "")
+                     for out in (serial, parallel)]
+        assert aggregate[0] == aggregate[1]
     assert aggregate[0].count(",ok,") == 8
 
 

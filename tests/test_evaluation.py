@@ -1,13 +1,17 @@
 import json
 import math
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nestedflow import evaluation
 from nestedflow.datasets import Dataset
 from nestedflow.evaluation import (
+    EVAL_CHUNK_VALUES,
     RunReport,
     avg_log_likelihood,
     bits_per_dim,
@@ -20,7 +24,8 @@ from nestedflow.evaluation import (
 )
 from nestedflow.coupling import build_multiscale_flow
 from nestedflow.experiment import resolve_order
-from nestedflow.flows import FlowModel, OffsetTransform, build_lu_flow, build_qr_flow
+from nestedflow.flows import (FlowEvalError, FlowModel, OffsetTransform, build_lu_flow,
+                              build_qr_flow, standard_normal_logpdf_rows)
 from nestedflow.nested_dropout import identity_order, keep_mask, reversed_order
 
 
@@ -145,6 +150,122 @@ def test_run_report_evaluates_each_truncation_once():
         np.float64(avg_log_likelihood(m, x)).tobytes()
 
 
+def whole_split_evaluation(m, x, orders):
+    """The serial evaluation a report equals bit for bit: the log likelihood,
+    and one inverse pass over the whole split per (order, k) in turn."""
+    ws = m.weights()
+    z, logdet = m.forward_pass(ws, x)
+    curves = np.empty((len(orders), m.dim))
+    for i, order in enumerate(orders):
+        for k in range(1, m.dim + 1):
+            diff = m.inverse_pass(ws, z * keep_mask(k, order, m.dim).astype(np.float64)) - x
+            curves[i, k - 1] = np.mean(np.sum(diff * diff, axis=1)) / m.dim
+    return np.mean(np.add(standard_normal_logpdf_rows(z), logdet)), curves
+
+
+def chunk_rows(dim):
+    return EVAL_CHUNK_VALUES // dim
+
+
+CHUNKED_MODELS = {
+    # The 16-D workload's architecture; its 4-column conditioner output is
+    # a product whose BLAS kernel can depend on the row count.
+    "multiscale16": lambda rng: build_multiscale_flow(16, 3, 2, rng),
+    "qr3": lambda rng: build_qr_flow(3, rng, offset=True),
+}
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (0, 7), (1, -1), (1, 0), (1, 1)],
+                         ids=["1", "7", "chunk-1", "chunk", "chunk+1"])
+@pytest.mark.parametrize("model", sorted(CHUNKED_MODELS))
+def test_report_equals_whole_split_passes_at_any_thread_count(monkeypatch, model, chunks,
+                                                             extra):
+    """Chunked keep-set passes on 1, 2 or 3 threads give the bytes of one
+    serial pass over the whole split per (order, k)."""
+    monkeypatch.setattr(evaluation, "EVAL_THREAD_WORK", 0)  # threads at any size
+    rng = np.random.default_rng(11)
+    m = CHUNKED_MODELS[model](rng)
+    m.set_params(m.params.values + 0.1 * rng.standard_normal(m.n_params))
+    n = chunks * chunk_rows(m.dim) + extra
+    x = rng.standard_normal((n, m.dim)) * np.linspace(2.0, 0.1, m.dim)
+    orders = {"reversed": reversed_order(m.dim), "random": rng.permutation(m.dim)}
+    ll, curves = whole_split_evaluation(m, x, list(orders.values()))
+    data = Dataset(points=x, split={"test": (0, n)})
+    for threads in (1, 2, 3):
+        r = make_run_report(m, data, orders, threads=threads)
+        assert np.float64(r.test_ll_nats).tobytes() == ll.tobytes()
+        assert r.mse_curve.tobytes() == curves[0].tobytes()
+        assert np.array(r.curves["random"]["mse"]).tobytes() == curves[1].tobytes()
+
+
+class Blowup:
+    """Identity map whose inverse overflows every entry above ``limit`` in
+    magnitude."""
+
+    kind = "blowup"
+    param_blocks = []
+
+    def __init__(self, dim, limit):
+        self.dim, self.limit = dim, limit
+
+    def weights(self, p):
+        return None
+
+    def forward(self, w, x):
+        return x, 0.0, None
+
+    def inverse(self, w, z):
+        return z * np.where(np.abs(z) > self.limit, 1e308, 1.0), None
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_failing_keep_sets_raise_the_serial_error(monkeypatch, threads):
+    """Of the failing keep-sets the first in (order, k) order raises the
+    error the serial loop raises, even when its chunks fail at different
+    transforms, and the pool's threads keep the caller's numpy error state."""
+    monkeypatch.setattr(evaluation, "EVAL_THREAD_WORK", 0)
+    m = FlowModel(4, [Blowup(4, 10.0), Blowup(4, 100.0)], np.zeros(0))
+    n = chunk_rows(4) + 1  # two chunks
+    x = np.ones((n, 4))
+    x[0, 2] = 50.0  # in the first chunk, fails at transform 0
+    x[-1, 2] = 500.0  # in the second, fails at transform 1, which inverts first
+    x[0, 3] = 20.0  # fails the reversed order's first keep-set at transform 0
+    orders = {"identity": identity_order(4), "reversed": reversed_order(4)}
+    with np.errstate(all="ignore"):
+        with pytest.raises(FlowEvalError) as serial:
+            whole_split_evaluation(m, x, list(orders.values()))
+        assert str(serial.value) == "non-finite inverse output of transform 1 (blowup)"
+        with warnings.catch_warnings(), pytest.raises(FlowEvalError) as pooled:
+            warnings.simplefilter("error")
+            make_run_report(m, Dataset(points=x, split={"test": (0, n)}), orders,
+                            threads=threads)
+    assert str(pooled.value) == str(serial.value)
+
+
+def test_keep_sets_use_threads_only_for_passes_with_enough_work(monkeypatch):
+    """A pool starts when threads are given and a pass has EVAL_THREAD_WORK
+    parameters times rows; otherwise the caller's thread runs every pass."""
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    m = build_qr_flow(3, np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((10, 3))
+    want = mse_curve(m, x, reversed_order(3))
+    for work, threads, started in [(m.n_params * 10, 2, [2]), (m.n_params * 10 + 1, 2, []),
+                                   (0, 1, [])]:
+        pools.clear()
+        monkeypatch.setattr(evaluation, "EVAL_THREAD_WORK", work)
+        r = make_run_report(m, Dataset(points=x, split={"test": (0, 10)}),
+                            {"reversed": reversed_order(3)}, threads=threads)
+        assert pools == started
+        assert r.mse_curve.tobytes() == want.tobytes()
+
+
 def test_mse_curve_rejects_empty():
     with pytest.raises(ValueError):
         mse_curve(identity_model(), np.zeros((0, 3)), identity_order(3))
@@ -181,11 +302,12 @@ def test_run_report_validation():
                 mse_curve=np.array([1.0, 0.0]),
                 drop_order=np.array([0, 1]), config_hash="", seed=None)
     RunReport(**good)
-    with pytest.raises(ValueError):
+    # numerical failures: ArithmeticErrors, which the CLI exits 2 on
+    with pytest.raises(FlowEvalError, match="log-likelihood metrics must be finite"):
         RunReport(**{**good, "test_ll_nats": np.nan})
-    with pytest.raises(ValueError):
+    with pytest.raises(FlowEvalError, match="MSE curve must be finite"):
         RunReport(**{**good, "mse_curve": np.array([np.inf, 0.0])})
-    with pytest.raises(ValueError):
+    with pytest.raises(FlowEvalError, match="full-rank reconstruction MSE 0.5 exceeds"):
         # a visibly nonzero full-rank error means the model is not invertible
         RunReport(**{**good, "mse_curve": np.array([1.0, 0.5])})
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nestedflow.flows import FlowModel, LULinearTransform, QRLinearTransform
+from nestedflow.flows import FlowEvalError, FlowModel, LULinearTransform, QRLinearTransform
 from nestedflow.linalg import random_rotation
 from nestedflow.pca import pca_fit
 
@@ -107,7 +107,8 @@ def test_triangular_solve_singular_names_index():
         params = t.init_params(np.random.default_rng(0))
         params[-2] = -1000.0  # exp(-1000) underflows: diagonal entry 1 is 0
         m = FlowModel(3, [t], params)
-        with pytest.raises(ZeroDivisionError, match="zero diagonal entry at index 1"):
+        with pytest.raises(FlowEvalError, match=rf"inverse of transform 0 \({t.kind}\): "
+                                                "zero diagonal entry at index 1"):
             m.inverse_batch(np.ones((2, 3)))
 
 
