@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config/I-O error, 2 numerical failure: any
 ``ArithmeticError``, the base of the package's own numerical errors
-(non-finite loss, training divergence, a non-finite flow output or a
-singular QR/LU factor met in an inverse pass, a report's failed checks) and
-of the ``ZeroDivisionError`` a QR layer raises on a zero Householder vector.
+(non-finite loss, training divergence, a non-finite flow output, a singular
+QR/LU factor met in an inverse pass or a zero Householder vector met while
+building a QR layer's weights, a report's failed checks).
 """
 
 from __future__ import annotations

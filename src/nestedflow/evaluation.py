@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import write_csv
 from .flows import FlowEvalError, FlowModel, standard_normal_logpdf_rows
 from .nested_dropout import as_order, keep_mask
 
@@ -201,8 +202,4 @@ def deterministic_report_bytes(path) -> bytes:
 
 def save_curve_csv(path, curve):
     """Write an MSE curve as CSV rows (k, mse)."""
-    curve = np.asarray(curve)
-    with open(path, "w") as f:
-        f.write("k,mse\n")
-        for k, v in enumerate(curve, start=1):
-            f.write(f"{k},{format(v, '.17g')}\n")
+    write_csv(path, np.column_stack([np.arange(1, len(curve) + 1), curve]), "k,mse\n")

@@ -379,8 +379,13 @@ class FlowModel:
         """Each transform's weights on its span of the plain parameter array
         ``theta`` (default: the model's own)."""
         theta = self.params.values if theta is None else theta
-        return [t.weights(theta[..., lo:hi])
-                for t, (lo, hi) in zip(self.transforms, self.spans)]
+        ws = []
+        for i, (t, (lo, hi)) in enumerate(zip(self.transforms, self.spans)):
+            try:
+                ws.append(t.weights(theta[..., lo:hi]))
+            except ZeroDivisionError as e:  # a QR layer's zero Householder vector
+                raise FlowEvalError(f"weights of transform {i} ({t.kind}): {e}") from e
+        return ws
 
     def _check(self, out, i, direction):
         if not np.isfinite(out).all():

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import NonFiniteLossError, evaluate_with_gradient
+from .datasets import write_csv
 from .flows import FlowEvalError, FlowModel, stack_models
 from .nested_dropout import NestedDropoutConfig, loss_terms, sample_ks
 
@@ -114,13 +115,8 @@ class TrainTrace:
         return TrainTrace(self.iteration, self.nll_term[s], self.recon_term[s], self.lr[s])
 
     def save_csv(self, path):
-        with open(path, "w") as f:
-            f.write("iteration,nll_term,recon_term,lr\n")
-            for i in range(self.iteration.size):
-                f.write(f"{self.iteration[i]},"
-                        f"{format(self.nll_term[i], '.17g')},"
-                        f"{format(self.recon_term[i], '.17g')},"
-                        f"{format(self.lr[i], '.17g')}\n")
+        write_csv(path, np.column_stack([self.iteration, self.nll_term, self.recon_term,
+                                         self.lr]), "iteration,nll_term,recon_term,lr\n")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nestedflow.datasets import (
+    _BLOCK_VALUES,
     Dataset,
     DatasetFormatError,
     gen_synthetic_gaussian,
     gen_toy_hierarchical,
     load_dataset,
     save_dataset,
+    write_csv,
 )
 from nestedflow.pca import pca_fit, pca_mse
 
@@ -180,3 +187,89 @@ def test_csv_bytes_match_per_value_format(tmp_path, dim):
     save_dataset(Dataset(points=points), path)
     want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in points)
     assert path.read_bytes() == want.encode()
+
+
+def per_value_bytes(table) -> bytes:
+    """The reference text: each value as format(v, ".17g"), one loop per value."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in table).encode()
+
+
+def written_bytes(path, values, dim) -> tuple[bytes, bytes]:
+    """The writer's bytes and the reference's for ``values``, repeated to
+    at least 256, the fewest the array encoder takes."""
+    values = np.asarray(values, dtype=np.float64)
+    table = np.resize(values, dim * max(-(-256 // dim), -(-values.size // dim))).reshape(-1, dim)
+    write_csv(path, table)
+    return path.read_bytes(), per_value_bytes(table)
+
+
+# significands of 52-53 bits scaled into 2**-31 .. 2**46: inside the exact range
+EXACT_RANGE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.ldexp, st.integers(2**52, 2**53 - 1) | st.integers(-(2**53) + 1, -(2**52)),
+              st.integers(-83, -7)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([1, 3, 16]),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=48)
+       | st.lists(EXACT_RANGE, min_size=1, max_size=48))
+def test_writer_bytes_match_per_value_format(tmp_path, dim, values):
+    got, want = written_bytes(tmp_path / "t.csv", values, dim)
+    assert got == want
+
+
+def test_writer_rounds_dyadic_ties_half_to_even(tmp_path):
+    """n / 2**18 in [0.1, 1) has 18 significant digits: odd n end in a 5, a
+    tie at the 18th digit that rounds to the even 17th."""
+    got, want = written_bytes(tmp_path / "t.csv", np.arange(26215, 2**18) / 2**18, 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("j", range(-12, 17))
+def test_writer_matches_next_to_powers_of_ten(tmp_path, j):
+    """Near 10**j, log10 may put the decimal exponent one off; the nearest
+    doubles below 10**n for -10 <= n <= 14 are the closest the exact range
+    comes to rounding up to a power of ten at 17 digits."""
+    below, above = [float(f"1e{j}")], [float(f"1e{j}")]
+    for _ in range(4):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    values = below + above[1:]
+    values += [-v for v in values] + [0.0, -0.0]
+    got, want = written_bytes(tmp_path / "t.csv", values, 1)
+    assert got == want
+
+
+def spread_values(n, seed):
+    """Signed values from 5e-7 to 500: all inside the exact range."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 5.0, n) * 10.0 ** rng.integers(-6, 3, n)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16])
+@pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+def test_writer_matches_around_a_block(tmp_path, dim, extra_rows):
+    rows = _BLOCK_VALUES // dim + extra_rows
+    got, want = written_bytes(tmp_path / "t.csv", spread_values(rows * dim, dim), dim)
+    assert got == want
+
+
+@pytest.mark.parametrize("odd", [5e-324, -2.5e-310, 1e300, 1e-12, 1e14])
+def test_one_value_outside_the_exact_range_moves_its_block_alone(tmp_path, odd):
+    """Three blocks: the middle one holds the odd value and goes through %."""
+    values = spread_values(3 * _BLOCK_VALUES, 3)
+    values[_BLOCK_VALUES + 17] = odd
+    got, want = written_bytes(tmp_path / "t.csv", values, 16)
+    assert got == want
+
+
+def test_writer_raises_no_numpy_warning(tmp_path):
+    """save_dataset runs outside the CLI's np.errstate."""
+    values = np.concatenate([[0.0, -0.0], spread_values(_BLOCK_VALUES, 4),
+                             [5e-324, 1e300, -1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save_dataset(Dataset(points=values.reshape(-1, 1)), tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == per_value_bytes(values.reshape(-1, 1))

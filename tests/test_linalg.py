@@ -40,9 +40,10 @@ def test_householder_fixes_orthogonal_complement():
 
 def test_householder_zero_vector_rejected():
     m = reflection_layer([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ZeroDivisionError, match="Householder"):
+    message = r"weights of transform 0 \(qr_linear\): Householder vector must be nonzero"
+    with pytest.raises(FlowEvalError, match=message):
         m.forward_batch(np.ones((1, 3)))
-    with pytest.raises(ZeroDivisionError, match="Householder"):
+    with pytest.raises(FlowEvalError, match=message):
         m.inverse_batch(np.ones((1, 3)))
 
 

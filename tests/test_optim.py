@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nestedflow.datasets import gen_synthetic_gaussian
-from nestedflow.flows import build_qr_flow
+from nestedflow.flows import build_qr_flow, stack_models
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig
 from nestedflow.optim import (
     AdamState,
@@ -177,13 +179,33 @@ def test_divergence_names_inverse_transform():
                   np.random.default_rng(16))
 
 
-def test_zero_householder_vector_is_not_a_divergence():
-    """A ZeroDivisionError from a layer passes through train as itself."""
+ZERO_HOUSEHOLDER = (r"training diverged at iteration 0: weights of transform 0 "
+                    r"\(qr_linear\): Householder vector must be nonzero; last finite "
+                    r"terms: none")
+
+
+def zero_householder_flow():
     m = build_qr_flow(2, np.random.default_rng(15))
     m.set_params(np.concatenate([np.zeros(2), m.params.values[2:]]))
-    with pytest.raises(ZeroDivisionError, match="Householder"):
-        train(m, training_data(), TrainConfig(5, 16, 1e-2),
+    return m
+
+
+def test_zero_householder_vector_is_a_divergence():
+    """A zero Householder vector, met while building the weights outside
+    both passes, names the iteration and the transform."""
+    with pytest.raises(TrainDivergenceError, match=ZERO_HOUSEHOLDER):
+        train(zero_householder_flow(), training_data(), TrainConfig(5, 16, 1e-2),
               np.random.default_rng(16))
+
+
+def test_zero_householder_vector_fails_its_seed_alone_in_a_stack():
+    m = stack_models([build_qr_flow(2, np.random.default_rng(14)), zero_householder_flow()])
+    r = train(m, [training_data()] * 2, TrainConfig(5, 16, 1e-2),
+              [np.random.default_rng(16), np.random.default_rng(16)])
+    assert r.errors[0] is None
+    assert isinstance(r.errors[1], TrainDivergenceError)
+    assert re.match(ZERO_HOUSEHOLDER, str(r.errors[1]))
+    assert np.isfinite(r.trace.seed(0).nll_term).all()
 
 
 def test_trace_csv_layout(tmp_path):
