@@ -27,5 +27,5 @@ from .nested_dropout import (GeometricSchedule, NestedDropoutConfig,
                              identity_order, loss_terms, reversed_order,
                              sample_ks)
 from .optim import (AdamState, TrainConfig, TrainTrace, adam_step, cosine_lr,
-                    init_adam, train)
+                    init_adam, train, train_seeds)
 from .pca import PCAModel, pca_fit, pca_mse, pca_project

@@ -11,6 +11,10 @@ with "-", as in sweep child names.  All randomness descends from the
 single run seed through fixed SeedSequence spawns (data, model init,
 training, evaluation), so re-running from the stored config reproduces
 every deterministic output byte for byte.
+
+``train`` and every ``sweep`` job take one path: set each run up, train
+them together with :func:`~nestedflow.optim.train_seeds` (which decides
+whether they share a seed stack), then evaluate and write each run.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from .coupling import (MultiScaleFlow, build_multiscale_flow,
 from .datasets import Dataset, gen_synthetic_gaussian, gen_toy_hierarchical, \
     load_dataset, save_dataset
 from .evaluation import eval_split, make_run_report, report_to_dict, save_report
-from .flows import FlowModel, build_lu_flow, build_qr_flow, stack_models
+from .flows import FlowModel, build_lu_flow, build_qr_flow
 from .nested_dropout import GeometricSchedule, NestedDropoutConfig, as_order, \
     identity_order, reversed_order
-from .optim import TrainConfig, train
+from .optim import TrainConfig, train_seeds
 from .pca import pca_fit, pca_mse
 
 
@@ -231,10 +235,9 @@ def _start_train(cfg: dict, out_dir) -> _TrainRun:
     return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
 
 
-def _finish_train(run: _TrainRun, trace, result, train_seconds: float, threads: int):
+def _finish_train(run: _TrainRun, result, threads: int):
     """What a training run does after its last step: evaluation on
-    ``threads`` threads, then the checkpoint, trace and report.  ``result``
-    and ``train_seconds`` time the training, of the whole stack if stacked."""
+    ``threads`` threads, then the checkpoint, trace and report."""
     started = time.perf_counter()
     report = make_run_report(
         run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
@@ -252,33 +255,20 @@ def _finish_train(run: _TrainRun, trace, result, train_seconds: float, threads: 
         "train_seconds_per_step": result.seconds_per_step,
         "eval_seconds": eval_seconds,
         "eval_threads": threads,
-        "total_seconds": train_seconds + eval_seconds,
+        "total_seconds": result.seconds + eval_seconds,
     })
 
     save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
-    trace.save_csv(run.out_dir / "trace.csv")
+    result.trace.save_csv(run.out_dir / "trace.csv")
     save_report(report_to_dict(report), run.out_dir, run.label)
     return report, run.out_dir
 
 
-def run_train(cfg: dict, out_dir=None, threads: int = 1):
-    """Full training run: dataset, model, training, evaluation on
-    ``threads`` threads, artifacts.
-
-    Returns (RunReport, run directory).
-    """
-    run = _start_train(cfg, out_dir)
-    started = time.perf_counter()
-    result = train(run.model, run.data, run.train_cfg,
-                   np.random.default_rng(run.seeds["train"]))
-    return _finish_train(run, result.trace, result, time.perf_counter() - started, threads)
-
-
-def _train_stack(cfgs, out_dirs, threads: int) -> list:
-    """Training runs whose configs differ only in seed, trained as one seed
-    stack.  Each run writes what ``run_train`` writes for it; returns each
-    run's (RunReport, run directory), or the exception its solo
-    ``run_train`` raises."""
+def _train_runs(cfgs, out_dirs, threads: int) -> list:
+    """Training runs whose configs differ only in seed, trained together by
+    :func:`~nestedflow.optim.train_seeds` and each evaluated on ``threads``
+    threads; returns each run's (RunReport, run directory), or the
+    exception that ends it."""
     outcomes, runs = [None] * len(cfgs), {}
     for i, (cfg, out_dir) in enumerate(zip(cfgs, out_dirs)):
         try:
@@ -287,23 +277,31 @@ def _train_stack(cfgs, out_dirs, threads: int) -> list:
             outcomes[i] = e
     if not runs:
         return outcomes
-    started = time.perf_counter()
+    ready = list(runs.values())
     try:
-        result = train(stack_models([r.model for r in runs.values()]),
-                       [r.data for r in runs.values()], next(iter(runs.values())).train_cfg,
-                       [np.random.default_rng(r.seeds["train"]) for r in runs.values()])
+        results = train_seeds([r.model for r in ready], [r.data for r in ready], ready[0].train_cfg,
+                              [np.random.default_rng(r.seeds["train"]) for r in ready])
     except Exception as e:
-        return [e if o is None else o for o in outcomes]
-    seconds = time.perf_counter() - started
-    for j, (i, run) in enumerate(runs.items()):
-        outcomes[i] = result.errors[j]
-        if outcomes[i] is None:
-            try:
-                outcomes[i] = _finish_train(run, result.trace.seed(j), result, seconds,
-                                            threads)
-            except Exception as e:
-                outcomes[i] = e
+        results = [e] * len(runs)
+    for (i, run), result in zip(runs.items(), results):
+        try:
+            outcomes[i] = result if isinstance(result, Exception) else \
+                _finish_train(run, result, threads)
+        except Exception as e:
+            outcomes[i] = e
     return outcomes
+
+
+def run_train(cfg: dict, out_dir=None, threads: int = 1):
+    """Full training run: dataset, model, training, evaluation on
+    ``threads`` threads, artifacts.
+
+    Returns (RunReport, run directory).
+    """
+    (outcome,) = _train_runs([cfg], [out_dir], threads)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_eval(cfg: dict, checkpoint_path=None, out_dir=None, threads: int = 1):
@@ -375,13 +373,17 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
     aggregate table and do not stop the sweep.
 
-    Children whose configs differ only in seed train as one seed stack, one
-    pool job per stack.  Stacks are halved, largest first, until there are
-    at least as many jobs as pool workers.  Each worker evaluates on its
-    share of ``worker_count()`` threads."""
+    Children whose configs differ only in seed form one pool job, trained
+    together (see :func:`_train_runs`).  Jobs are halved, largest first,
+    until there are at least as many jobs as pool workers.  Each worker
+    evaluates on its share of ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
+    for key, owner in (("seed", '"seeds"'), ("output_dir", 'the sweep\'s "output_dir"')):
+        if key in grid:
+            raise ConfigError(f"config.grid.{key}: the sweep sets each child's {key}; "
+                              f"use {owner}")
     seeds = sweep_cfg.get("seeds", [base.get("seed", 0)])
     out_dir = Path(out_dir or sweep_cfg.get("output_dir") or "runs/sweep")
 
@@ -411,10 +413,10 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     budget = worker_count()
     workers = min(budget, len(children), os.cpu_count() or 1)
     run_job = functools.partial(_run_sweep_job, threads=max(1, budget // workers))
-    stacks = {}
+    groups = {}
     for i, (_, _, cfg, _) in enumerate(children):
-        stacks.setdefault(_stack_key(cfg), []).append(i)
-    jobs = list(stacks.values())
+        groups.setdefault(_job_key(cfg), []).append(i)
+    jobs = list(groups.values())
     while len(jobs) < workers:  # some job has two children: workers <= children
         k = max(range(len(jobs)), key=lambda j: len(jobs[j]))
         half = len(jobs[k]) // 2
@@ -452,29 +454,22 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     return out_dir
 
 
-def _stack_key(cfg: dict) -> str:
-    """Sweep children with equal keys differ only in seed and train as one
-    stack.  A random training drop order is drawn from the seed, so such a
-    child keeps its seed in its key and trains alone."""
+def _job_key(cfg: dict) -> str:
+    """Sweep children with equal keys differ only in seed and form one job.
+    A random training drop order is drawn from the seed, so such a child
+    keeps its seed in its key and trains alone."""
     nd = cfg.get("nd")
     per_seed = isinstance(nd, dict) and nd.get("order") == "random"
     return json.dumps({**cfg, "seed": cfg["seed"] if per_seed else None}, sort_keys=True)
 
 
 def _run_sweep_job(payloads, threads: int):
-    """One pool job, a solo child or a seed stack, evaluated on ``threads``
-    threads: each child's LL and MSE curve, or the error it is recorded
-    with.  Numpy's floating-point warnings are off, since the non-finite
-    checks report each failure."""
+    """One pool job, children that differ only in seed, evaluated on
+    ``threads`` threads: each child's LL and MSE curve, or the error it is
+    recorded with.  Numpy's floating-point warnings are off, since the
+    non-finite checks report each failure."""
     with np.errstate(all="ignore"):
-        if len(payloads) == 1:
-            try:
-                outcomes = [run_train(*payloads[0], threads=threads)]
-            except Exception as e:
-                outcomes = [e]
-        else:
-            outcomes = _train_stack(*zip(*payloads), threads)
-    return [_sweep_outcome(o) for o in outcomes]
+        return [_sweep_outcome(o) for o in _train_runs(*zip(*payloads), threads)]
 
 
 def _sweep_outcome(outcome) -> dict:

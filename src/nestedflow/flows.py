@@ -28,8 +28,9 @@ Batches are row-major: ``X`` has shape ``(N, D)``.  Per-point column vectors
 
 Every array may carry a leading seed axis: :func:`stack_models` joins S
 models of one architecture into a seed stack whose parameters are ``(S,
-P)`` and whose batches are ``(S, N, D)``.  The arithmetic indexes from
-the end (``x[..., idx]``, ``np.matmul``, ``swapaxes(-1, -2)``, sums over
+P)`` and whose batches are ``(S, N, D)``; its one caller is
+:func:`nestedflow.optim.train_seeds`.  The arithmetic indexes from the
+end (``x[..., idx]``, ``np.matmul``, ``swapaxes(-1, -2)``, sums over
 ``axis=-2``), so a solo model runs on its 2-D arrays as before, and each
 slice of a stack computes bit for bit what its solo model computes:
 stacked ``matmul``, ``np.linalg.inv`` and row sums equal their per-slice
@@ -344,12 +345,10 @@ class FlowModel:
     """An ordered composition of invertible transforms over a standard-normal
     base distribution in ``D`` dimensions.  Owns the flat trainable
     parameter vector; transforms hold structure only.  ``spans[i]`` is the
-    half-open range of transform i's blocks in it.
+    half-open range of transform i's blocks in it.  A seed stack (see
+    :func:`stack_models`) has one row of parameters per seed."""
 
-    A seed stack (see :func:`stack_models`) has ``slices``, the solo models
-    it was built from, and one row of parameters per slice."""
-
-    def __init__(self, dim: int, transforms, params: np.ndarray, slices=None):
+    def __init__(self, dim: int, transforms, params: np.ndarray, *, _stacked=False):
         self.dim = dim
         self.transforms = list(transforms)
         for t in self.transforms:
@@ -364,7 +363,7 @@ class FlowModel:
         params = np.asarray(params, dtype=np.float64)
         if params.shape[-1:] != (offset,):
             raise ValueError(f"expected {offset} parameters, got {params.size}")
-        self.slices = slices
+        self._stacked = _stacked
         self.set_params(params)
 
     @property
@@ -373,7 +372,7 @@ class FlowModel:
         return len(self.params)
 
     def set_params(self, values: np.ndarray):
-        self.params = ParameterVector(values, stacked=self.slices is not None)
+        self.params = ParameterVector(values, stacked=self._stacked)
 
     def weights(self, theta=None) -> list:
         """Each transform's weights on its span of the plain parameter array
@@ -471,7 +470,7 @@ def stack_models(models) -> FlowModel:
         transforms.append(type(ts[0]).from_config(
             {**cfgs[0], **{k: [c[k] for c in cfgs] for k in fields}}) if fields else ts[0])
     return FlowModel(models[0].dim, transforms,
-                     np.stack([m.params.values for m in models]), slices=list(models))
+                     np.stack([m.params.values for m in models]), _stacked=True)
 
 
 def build_lu_flow(dim: int, rng: np.random.Generator, offset: bool = False) -> FlowModel:

@@ -7,9 +7,11 @@ reconstruction penalty is active), evaluates the objective and its gradient
 applies one bias-corrected Adam step.  The loss terms and learning rate of
 every iteration are recorded as a trace.
 
-A seed stack of S models trains in the same loop: each seed draws from its
-own generator, the stack takes one step on (S, B, D) batches, and Adam
-updates its (S, P) parameters and moments elementwise.
+:func:`train_seeds` is the one entry that knows about seed stacks: given
+two or more models it trains them as one stack in the same loop.  Each
+seed draws from its own generator, the stack takes one step on (S, B, D)
+batches, and Adam updates its (S, P) parameters and moments elementwise.
+A solo run, and :func:`train`, take the plain 2-D path.
 """
 
 from __future__ import annotations
@@ -102,17 +104,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainTrace:
-    """Per-iteration objective decomposition; a stack's terms have a
-    leading seed axis."""
+    """Per-iteration objective decomposition."""
 
     iteration: np.ndarray
     nll_term: np.ndarray
     recon_term: np.ndarray
     lr: np.ndarray
-
-    def seed(self, s: int) -> "TrainTrace":
-        """Seed ``s``'s trace, from a stack's."""
-        return TrainTrace(self.iteration, self.nll_term[s], self.recon_term[s], self.lr[s])
 
     def save_csv(self, path):
         write_csv(path, np.column_stack([self.iteration, self.nll_term, self.recon_term,
@@ -121,14 +118,10 @@ class TrainTrace:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """``errors`` holds, per seed, None or the error its solo run raises;
-    a solo run raises it instead."""
-
     model: FlowModel
     trace: TrainTrace
     seconds: float
     seconds_per_step: float
-    errors: tuple = (None,)
 
 
 def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
@@ -138,21 +131,33 @@ def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
     The model is updated in place and also returned.  Per iteration the rng
     is consumed in a fixed order (batch indices, then truncation indices),
     so identical (config, rng state) give bit-identical trajectories.
-
-    A seed stack ``m`` (:func:`~nestedflow.flows.stack_models`) takes one
-    training set and one generator per seed, in lists, and consumes each
-    generator as its solo run does; one step moves every seed.  When a
-    stacked step fails, each seed replays it alone: a seed whose replay
-    fails drops out with the error its solo run raises, and the others go
-    on from their replayed step.  At the end each slice model holds its
-    seed's parameters.
+    Raises :class:`TrainDivergenceError` when the run diverges.
     """
-    stacked = m.slices is not None
-    points, rngs = (train_points, rng) if stacked else ([train_points], [rng])
-    tables = [_train_table(p) for p in points]
-    terms = np.empty((3, len(tables), cfg.iterations))  # nll, recon, lr per seed
-    errors = [None] * len(tables)
-    live = list(range(len(tables)))  # the seeds still training, in stack order
+    (result,) = train_seeds([m], [train_points], cfg, [rng])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
+    """Train each model as :func:`train` does, on its own training set and
+    generator; returns, per model, its :class:`TrainResult` or the error
+    its solo run raises.
+
+    One model trains solo.  Two or more train as one seed stack
+    (:func:`~nestedflow.flows.stack_models`): each consumes its generator as
+    its solo run does, and one step moves every seed.  When a stacked step
+    fails, each seed replays it alone: a seed whose replay fails drops out
+    with its solo run's error, and the others go on from their replayed
+    step.  Each result's ``seconds`` time the whole stack; at the end each
+    model holds its own parameters.
+    """
+    stacked = len(models) > 1
+    m = stack_models(models) if stacked else models[0]
+    tables = [_train_table(p) for p in train_points]
+    terms = np.empty((3, len(models), cfg.iterations))  # nll, recon, lr per seed
+    errors = [None] * len(models)
+    live = list(range(len(models)))  # the seeds still training, in stack order
     state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
@@ -165,21 +170,21 @@ def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
             else:
                 state = _step(m, *batches[0], cfg, state, t, terms, 0)
         except ArithmeticError as e:
-            if not stacked:
-                raise _diverged(e, terms, 0, t)
-            m, state, live = _replay_alone(m, batches, cfg, state, t, terms, live, errors)
+            if stacked:
+                m, state, live = _replay_alone(m, models, batches, cfg, state, t, terms,
+                                               live, errors)
+            else:
+                errors[0], live = _diverged(e, terms, 0, t), []
             if not live:
                 break
     seconds = time.perf_counter() - started
-    if stacked and live:
-        for solo, theta in zip(m.slices, m.params.values):
-            solo.set_params(theta)
-    nll, recon, lr = terms if stacked else terms[:, 0]
-    trace = TrainTrace(iteration=np.arange(cfg.iterations), nll_term=nll,
-                       recon_term=recon, lr=lr)
+    if stacked:
+        for s, theta in zip(live, m.params.values):
+            models[s].set_params(theta)
     per_step = seconds / cfg.iterations if cfg.iterations else 0.0
-    return TrainResult(model=m, trace=trace, seconds=seconds,
-                       seconds_per_step=per_step, errors=tuple(errors))
+    steps = np.arange(cfg.iterations)
+    return [TrainResult(model, TrainTrace(steps, *terms[:, s]), seconds, per_step)
+            if errors[s] is None else errors[s] for s, model in enumerate(models)]
 
 
 def _train_table(points) -> np.ndarray:
@@ -219,28 +224,28 @@ def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
     return state
 
 
-def _replay_alone(m, batches, cfg: TrainConfig, state: AdamState, t: int, terms,
-                  live: list, errors: list):
-    """Replay a failed stacked step t one seed at a time, each on its slice
+def _replay_alone(m, models, batches, cfg: TrainConfig, state: AdamState, t: int,
+                  terms, live: list, errors: list):
+    """Replay a failed stacked step t one seed at a time, each on its own
     model.  A seed whose replay fails gets the error its solo run raises in
     ``errors``; the stack of the others, with their replayed step taken, goes
     on.  Returns that stack, its Adam state and its seeds."""
     kept, states = [], []
-    for j, (solo, batch) in enumerate(zip(m.slices, batches)):
-        solo.set_params(m.params.values[j])
+    for j, (s, batch) in enumerate(zip(live, batches)):
+        models[s].set_params(m.params.values[j])
         seed_state = replace(state, first_moment=state.first_moment[j],
                              second_moment=state.second_moment[j])
         try:
-            states.append(_step(solo, *batch, cfg, seed_state, t, terms, live[j]))
-            kept.append(j)
+            states.append(_step(models[s], *batch, cfg, seed_state, t, terms, s))
+            kept.append(s)
         except ArithmeticError as e:
-            errors[live[j]] = _diverged(e, terms, live[j], t)
+            errors[s] = _diverged(e, terms, s, t)
     if not kept:
         return m, state, []
-    return (stack_models([m.slices[j] for j in kept]),
+    return (stack_models([models[s] for s in kept]),
             AdamState(np.stack([st.first_moment for st in states]),
                       np.stack([st.second_moment for st in states]), t + 1),
-            [live[j] for j in kept])
+            kept)
 
 
 def _diverged(e: ArithmeticError, terms, row: int, t: int) -> ArithmeticError:

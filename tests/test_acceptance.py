@@ -10,7 +10,10 @@ a change to the generator cannot silently shift every downstream number.
 
 Training runs are deliberately identical in protocol so results stay
 comparable: 30k Adam steps, batch 500, lr 5e-3 for the 3-D linear flows;
-3k steps, batch 256 for the 16-D multi-scale flow.
+3k steps, batch 256 for the 16-D multi-scale flow.  The linear runs of one
+kind and penalty train as one seed stack (``train_seeds``), each seed byte
+for byte its solo run, so a run's ``seconds`` time its whole stack; the
+16-D runs train solo, since their stack is slower than solo runs.
 """
 
 import json
@@ -37,7 +40,7 @@ from nestedflow.nested_dropout import (
     loss_terms,
     sample_ks,
 )
-from nestedflow.optim import TrainConfig, train
+from nestedflow.optim import TrainConfig, train, train_seeds
 from nestedflow.pca import pca_fit, pca_mse
 
 DATASET_SEED = 1
@@ -80,18 +83,25 @@ def run_rngs(seed):
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def train_linear(kind, seed, data, nd=None):
-    init_rng, train_rng = run_rngs(seed)
+def train_linear(kind, seeds, data, nd=None):
+    """One linear flow per seed, trained as one seed stack: each run equals
+    its solo run byte for byte, and its ``seconds`` time the whole stack."""
     build = build_qr_flow if kind == "qr" else build_lu_flow
-    model = build(3, init_rng)
-    cfg = TrainConfig(nd=nd, **LINEAR_TRAIN)
-    result = train(model, data, cfg, train_rng)
+    rngs = [run_rngs(seed) for seed in seeds]
+    results = train_seeds([build(3, init_rng) for init_rng, _ in rngs], [data] * len(rngs),
+                          TrainConfig(nd=nd, **LINEAR_TRAIN),
+                          [train_rng for _, train_rng in rngs])
     x_test = data.get_split("test")
-    return {
-        "ll": avg_log_likelihood(model, x_test),
-        "curve": mse_curve(model, x_test, identity_order(3)),
-        "seconds": result.seconds,
-    }
+    runs = {}
+    for seed, result in zip(seeds, results):
+        if isinstance(result, Exception):
+            raise result
+        runs[seed] = {
+            "ll": avg_log_likelihood(result.model, x_test),
+            "curve": mse_curve(result.model, x_test, identity_order(3)),
+            "seconds": result.seconds,
+        }
+    return runs
 
 
 def nd_config():
@@ -100,19 +110,17 @@ def nd_config():
 
 @pytest.fixture(scope="module")
 def qr_baseline_runs(synthetic_data):
-    return {s: train_linear("qr", s, synthetic_data) for s in BASELINE_SEEDS}
+    return train_linear("qr", BASELINE_SEEDS, synthetic_data)
 
 
 @pytest.fixture(scope="module")
 def qr_nd_runs(synthetic_data):
-    return {s: train_linear("qr", s, synthetic_data, nd_config())
-            for s in ND_SEEDS}
+    return train_linear("qr", ND_SEEDS, synthetic_data, nd_config())
 
 
 @pytest.fixture(scope="module")
 def lu_nd_runs(synthetic_data):
-    return {s: train_linear("lu", s, synthetic_data, nd_config())
-            for s in ND_SEEDS}
+    return train_linear("lu", ND_SEEDS, synthetic_data, nd_config())
 
 
 @pytest.fixture(scope="module")

@@ -752,6 +752,24 @@ def test_sweep_rejects_colliding_child_names(tmp_path, capsys):
     assert not out.exists()  # rejected before any child ran
 
 
+@pytest.mark.parametrize("key, values, hint", [
+    ("seed", [1, 2], '"seeds"'),
+    ("output_dir", ["a", "b"], 'the sweep\'s "output_dir"'),
+], ids=["seed", "output_dir"])
+def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, hint):
+    """A grid over ``seed`` or ``output_dir`` would be overwritten in every
+    child, so each child would train and write what the others do."""
+    sweep = {"base": write_config(tmp_path / "base.json"), "grid": {key: values}}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: config.grid.{key}: ") and hint in err
+    assert not out.exists()
+
+
 def test_sweep_child_names_drop_path_separators(tmp_path):
     from nestedflow.experiment import run_sweep
     base = write_config(tmp_path / "base.json")

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nestedflow.datasets import gen_synthetic_gaussian
-from nestedflow.flows import build_qr_flow, stack_models
+from nestedflow.coupling import build_multiscale_flow
+from nestedflow.flows import build_lu_flow, build_qr_flow
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig
 from nestedflow.optim import (
     AdamState,
@@ -15,6 +16,7 @@ from nestedflow.optim import (
     cosine_lr,
     init_adam,
     train,
+    train_seeds,
 )
 
 
@@ -199,13 +201,53 @@ def test_zero_householder_vector_is_a_divergence():
 
 
 def test_zero_householder_vector_fails_its_seed_alone_in_a_stack():
-    m = stack_models([build_qr_flow(2, np.random.default_rng(14)), zero_householder_flow()])
-    r = train(m, [training_data()] * 2, TrainConfig(5, 16, 1e-2),
-              [np.random.default_rng(16), np.random.default_rng(16)])
-    assert r.errors[0] is None
-    assert isinstance(r.errors[1], TrainDivergenceError)
-    assert re.match(ZERO_HOUSEHOLDER, str(r.errors[1]))
-    assert np.isfinite(r.trace.seed(0).nll_term).all()
+    ok, failed = train_seeds([build_qr_flow(2, np.random.default_rng(14)),
+                              zero_householder_flow()],
+                             [training_data()] * 2, TrainConfig(5, 16, 1e-2),
+                             [np.random.default_rng(16), np.random.default_rng(16)])
+    assert isinstance(failed, TrainDivergenceError)
+    assert re.match(ZERO_HOUSEHOLDER, str(failed))
+    assert np.isfinite(ok.trace.nll_term).all()
+
+
+BUILDERS = {
+    "qr": (3, lambda rng: build_qr_flow(3, rng)),
+    "qr-offset": (3, lambda rng: build_qr_flow(3, rng, offset=True)),
+    "lu": (3, lambda rng: build_lu_flow(3, rng)),
+    "coupling": (8, lambda rng: build_multiscale_flow(8, 2, 2, rng, hidden_width=4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_train_seeds_matches_solo_train_bytewise(kind):
+    """Each seed of a stack ends as its solo ``train`` ends: the same
+    parameters and trace, byte for byte, or the same error.  Seed 1's data
+    holds a row whose square overflows, so it fails at the first step that
+    draws that row, and the two other seeds go on as a smaller stack."""
+    dim, build = BUILDERS[kind]
+    data = [np.random.default_rng(30 + s).standard_normal((48, dim)) for s in range(3)]
+    data[1][5] = 1e200
+    cfg = TrainConfig(12, 8, 1e-2, "cosine-to-zero",
+                      NestedDropoutConfig(lam=20.0, schedule=GeometricSchedule(p=0.33, K=dim)))
+
+    def solo_train(s):
+        return train(build(np.random.default_rng(40 + s)), data[s], cfg,
+                     np.random.default_rng(50 + s))
+
+    with np.errstate(all="ignore"):
+        stacked = train_seeds([build(np.random.default_rng(40 + s)) for s in range(3)],
+                              data, cfg, [np.random.default_rng(50 + s) for s in range(3)])
+        assert type(stacked[1]) is TrainDivergenceError
+        assert not str(stacked[1]).startswith("training diverged at iteration 0")
+        with pytest.raises(TrainDivergenceError) as solo_error:
+            solo_train(1)
+        assert str(stacked[1]) == str(solo_error.value)
+        for s in (0, 2):
+            result, solo = stacked[s], solo_train(s)
+            assert result.model.params.values.tobytes() == solo.model.params.values.tobytes()
+            for column in ("iteration", "nll_term", "recon_term", "lr"):
+                assert getattr(result.trace, column).tobytes() == \
+                    getattr(solo.trace, column).tobytes(), column
 
 
 def test_trace_csv_layout(tmp_path):
