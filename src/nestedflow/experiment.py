@@ -26,7 +26,6 @@ import json
 import os
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -423,6 +422,9 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
         jobs[k : k + 1] = [jobs[k][:half], jobs[k][half:]]
     payloads = [[children[i][2:] for i in job] for job in jobs]
     if workers > 1:
+        # Imported here so that commands which start no pool do not import
+        # multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_job, payloads))
     else:

@@ -600,6 +600,23 @@ def run_cli_process(*argv, threads="1"):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_cold_cli_import_loads_only_numpy_and_the_standard_library():
+    """Every command pays for what ``import nestedflow.cli`` loads: config
+    validation needs no jsonschema, and only a pooled sweep imports the
+    process pool."""
+    code = ("import sys; before = set(sys.modules); import nestedflow.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "nestedflow.cli" in loaded
+    assert not loaded & {"jsonschema", "concurrent.futures.process", "multiprocessing"}
+    packages = {name.split(".")[0] for name in loaded}
+    assert packages - set(sys.stdlib_module_names) == {"nestedflow", "numpy"}
+
+
 def test_overflowing_update_exits_two_with_one_line(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path,
@@ -872,7 +889,7 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
 def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
     """The pool never has more workers than children (or CPUs); a
     one-child sweep runs serially whatever NESTEDFLOW_THREADS says."""
-    import nestedflow.experiment as experiment
+    import concurrent.futures
     sizes = []
 
     class RecordingPool:  # runs the children in this process
@@ -888,7 +905,7 @@ def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("NESTEDFLOW_THREADS", "5")
     base = write_config(tmp_path / "base.json")
     for n_children in (1, 2):

@@ -1,16 +1,24 @@
+import copy
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestedflow.config import (
     ConfigError,
+    EXPERIMENT_SCHEMA,
     SWEEP_SCHEMA,
     config_hash,
     load_config,
     resolve_config,
     validate_config,
 )
+
+
+def exactly(message):
+    return "^" + re.escape(message) + "$"
 
 
 def minimal_config():
@@ -43,6 +51,36 @@ def test_full_config_validates():
     (lambda c: c["train"].update(batch_size=0), "batch_size"),
     (lambda c: c["dataset"].pop("n_test"), "dataset"),
     (lambda c: c.update(seed=-1), "seed"),
+    # A oneOf value is checked against the branch its "generator" or "kind"
+    # names, and its errors come from that branch.
+    (lambda c: c["dataset"].pop("n_test"),
+     exactly("config.dataset: 'n_test' is a required property")),
+    (lambda c: c["dataset"].update(n_train=2.0),
+     exactly("config.dataset.n_train: 2.0 is not of type 'integer'")),
+    (lambda c: c["dataset"].update(path="points.csv"),
+     exactly("config.dataset: Additional properties are not allowed "
+             "('path' was unexpected)")),
+    (lambda c: c["dataset"].update(generator="mnist"),
+     exactly("config.dataset.generator: 'mnist' is not one of "
+             "['synthetic-gaussian', 'toy-hierarchical']")),
+    (lambda c: c["model"].update(kind="glow"),
+     exactly("config.model.kind: 'glow' is not one of "
+             "['qr-linear', 'lu-linear', 'coupling-multiscale']")),
+    (lambda c: c["model"].pop("kind"),
+     exactly("config.model: 'kind' is a required property")),
+    (lambda c: c["model"].update(levels=2),
+     exactly("config.model: Additional properties are not allowed "
+             "('levels' was unexpected)")),
+    (lambda c: c["model"].update(n_householder=2.0),
+     exactly("config.model.n_householder: 2.0 is not of type 'integer'")),
+    (lambda c: c.update(nd={"lambda": 1.0, "p": 0.5, "order": 3}),
+     exactly("config.nd.order: 3 is not of type 'string', 'array'")),
+    (lambda c: c.update(nd={"lambda": 1.0, "p": 0.5, "order": "sideways"}),
+     exactly("config.nd.order: 'sideways' is not one of ['identity', 'reversed', "
+             "'random', 'depth-reversed', 'depth-forward']")),
+    # Of several errors, the deepest is reported.
+    (lambda c: (c.pop("model"), c["train"].update(lr_initial=0)),
+     exactly("config.train.lr_initial: 0 is less than or equal to the minimum of 0")),
 ])
 def test_schema_rejections_name_the_field(mutate, needle):
     cfg = minimal_config()
@@ -231,3 +269,176 @@ def test_non_finite_numbers_name_the_field(value):
     with pytest.raises(ConfigError,
                        match=r"^config\.base\.train\.lr_initial: " + shown):
         validate_config(sweep, SWEEP_SCHEMA)
+
+
+# The differential test: mutants of valid configs are accepted exactly when
+# a draft 2020-12 validator (with ``integer`` meaning a JSON integer) accepts
+# them.  Mutations drop a key or item, add a key (known to some schema, or
+# unknown) or an item, or replace a value, one to three times.  Values cover
+# every JSON type, numbers at the schemas' bounds and pieces of valid
+# configs, so mutants also reach the other branches of each oneOf.
+def _valid_experiments():
+    qr = minimal_config()
+    qr.update(nd={"lambda": 20.0, "p": 0.33, "order": [2, 0, 1]},
+              eval={"orders": ["identity", [1, 0, 2]]}, seed=3, output_dir="runs/x")
+    qr["model"].update(n_householder=2, offset=True)
+    qr["train"]["lr_schedule"] = "cosine-to-zero"
+    lu = dict(minimal_config(), model={"kind": "lu-linear", "offset": False},
+              dataset={"path": "points.csv"})
+    coupling = dict(minimal_config(),
+                    dataset={"generator": "toy-hierarchical", "dim": 4, "n": 5},
+                    model={"kind": "coupling-multiscale", "levels": 2,
+                           "couplings_per_level": 1, "hidden_width": 3,
+                           "log_scale_bound": 2.0},
+                    nd={"lambda": 0, "p": 1, "order": "depth-reversed"})
+    return [qr, lu, coupling]
+
+
+EXPERIMENTS = _valid_experiments()
+VALID = {
+    "experiment": EXPERIMENTS,
+    "sweep": [{"base": EXPERIMENTS[0], "grid": {"nd.lambda": [0, 20]}},
+              {"base": EXPERIMENTS[2], "grid": {"model.levels": [1, 2], "x": [[]]},
+               "seeds": [0, 1], "output_dir": "runs/sweep"}],
+}
+SCHEMAS = {"experiment": EXPERIMENT_SCHEMA, "sweep": SWEEP_SCHEMA}
+
+
+def _property_names(schema):
+    if isinstance(schema, dict):
+        yield from schema.get("properties", {})
+        for value in schema.values():
+            yield from _property_names(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _property_names(value)
+
+
+KEYS = sorted(set(_property_names(SWEEP_SCHEMA))) + ["extra", "nd.lambda", ""]
+VALUES = [None, True, False, 0, 1, -1, 2, 3, 4, 5, 64, 65, 2.0, 0.0, 0.5, 1.0,
+          1.5, -0.5, 1e300, "", "x", "points.csv", "identity", "depth-forward",
+          "constant", "cosine-to-zero", "qr-linear", "lu-linear",
+          "coupling-multiscale", "synthetic-gaussian", "toy-hierarchical", [],
+          [0], [2, 0, 1], [-1], [1.0], ["reversed"], [[0]], ["identity", [0]],
+          {}, {"a": 1}, {"path": "points.csv"}, {"kind": "lu-linear"},
+          {"generator": "synthetic-gaussian", "n_train": 1, "n_test": 1},
+          {"lambda": 1, "p": 0.5}, {"orders": ["random"]}, {"nd.p": [0.5]},
+          *EXPERIMENTS]
+
+
+def _paths(doc, path=()):
+    """Every path to a value in a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutants(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(doc) if isinstance(_at(doc, p), (dict, list))]
+        if not paths:
+            break
+        node = _at(doc, draw(st.sampled_from(paths)))
+        action = draw(st.sampled_from(["drop", "add", "replace"]))
+        value = copy.deepcopy(draw(st.sampled_from(VALUES)))
+        slots = sorted(node) if isinstance(node, dict) else range(len(node))
+        if action == "add" or not slots:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(KEYS))] = value
+            else:
+                node.append(value)
+        elif action == "drop":
+            del node[draw(st.sampled_from(slots))]
+        else:
+            node[draw(st.sampled_from(slots))] = value
+    return doc
+
+
+def _accepts(doc, name):
+    try:
+        validate_config(doc, SCHEMAS[name])
+    except ConfigError as e:
+        assert str(e).startswith("config")
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def reference_class():
+    """jsonschema's draft 2020-12 validator, with integer meaning int."""
+    jsonschema = pytest.importorskip("jsonschema")
+    draft = jsonschema.Draft202012Validator
+    return jsonschema.validators.extend(draft, type_checker=draft.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
+
+@pytest.mark.parametrize("schema,value", [
+    ({"type": "integer"}, 2.0),
+    ({"type": "number"}, True),
+    ({"type": "object", "required": ["a", "b", "c"]}, {"b": 1}),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1, "c": 2, "b": 3}),
+    ({"additionalProperties": False}, {"x": 1}),
+    ({"minimum": 1}, 0),
+    ({"exclusiveMinimum": 0}, 0.0),
+    ({"maximum": 1}, 1.5),
+    ({"minItems": 1}, []),
+    ({"minProperties": 1}, {}),
+    ({"const": "y"}, "x"),
+    ({"enum": ["a", "b"]}, "c"),
+    ({"properties": {"it's.key": {"items": {"type": "string"}}}}, {"it's.key": ["a", 1]}),
+])
+def test_messages_match_jsonschema(reference_class, schema, value):
+    """Outside a oneOf, each keyword words its error as jsonschema does."""
+    from jsonschema.exceptions import best_match
+    error = best_match(reference_class(schema).iter_errors(value))
+    with pytest.raises(ConfigError) as caught:
+        validate_config(value, schema)
+    assert str(caught.value) == \
+        f"{error.json_path.replace('$', 'config', 1)}: {error.message}"
+
+
+@pytest.fixture(scope="module")
+def reference_validators(reference_class):
+    cls = reference_class
+    # A subschema with its own "$schema" is checked by that dialect's stock
+    # validator, which counts 2.0 as an integer, so the sweep's base drops it.
+    base = {k: v for k, v in EXPERIMENT_SCHEMA.items() if k != "$schema"}
+    sweep = dict(SWEEP_SCHEMA, properties=dict(SWEEP_SCHEMA["properties"], base=base))
+    return {"experiment": cls(EXPERIMENT_SCHEMA), "sweep": cls(sweep)}
+
+
+def test_validator_accepts_what_jsonschema_accepts_one_edit_away(reference_validators):
+    """Every value of every valid config replaced by each of VALUES, and
+    every key and item dropped: the bounds are met exactly here."""
+    drop = object()
+    disagree = []
+    for name, docs in VALID.items():
+        for doc, path in ((d, p) for d in docs for p in _paths(d) if p):
+            for edit in [drop, *VALUES]:
+                mutant = copy.deepcopy(doc)
+                parent = _at(mutant, path[:-1])
+                if edit is drop:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(edit)
+                if _accepts(mutant, name) != reference_validators[name].is_valid(mutant):
+                    disagree.append(mutant)
+    assert not disagree, disagree[:3]
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validator_accepts_what_jsonschema_accepts(reference_validators, data):
+    name = data.draw(st.sampled_from(sorted(SCHEMAS)))
+    doc = data.draw(mutants(data.draw(st.sampled_from(VALID[name]))))
+    assert _accepts(doc, name) == reference_validators[name].is_valid(doc), doc
