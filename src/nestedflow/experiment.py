@@ -14,7 +14,9 @@ every deterministic output byte for byte.
 
 ``train`` and every ``sweep`` job take one path: set each run up, train
 them together with :func:`~nestedflow.optim.train_seeds` (which decides
-whether they share a seed stack), then evaluate and write each run.
+whether they share a seed stack), then evaluate and write each run.  A job
+makes and writes each distinct (dataset spec, data seed) once; its other
+runs share that dataset and copy its files.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import functools
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import time
 from dataclasses import dataclass, replace
@@ -178,17 +181,17 @@ def default_output_dir(cfg: dict) -> Path:
 
 def _setup(cfg: dict, out_dir):
     """The prologue of generate, train and eval: the validated and resolved
-    config, the run directory, the phase seeds and the dataset."""
+    config, the run directory and the phase seeds."""
     cfg = resolve_config(validate_config(cfg))
-    seeds = derive_seeds(cfg["seed"])
     return (cfg, Path(out_dir or cfg.get("output_dir") or default_output_dir(cfg)),
-            seeds, get_dataset(cfg, seeds["data"]))
+            derive_seeds(cfg["seed"]))
 
 
 def run_generate(cfg: dict, out_dir=None) -> tuple[Path, Dataset]:
     """Write the configured dataset (CSV + sidecar) into the run directory;
     returns its path and the dataset."""
-    cfg, out_dir, _, data = _setup(cfg, out_dir)
+    cfg, out_dir, seeds = _setup(cfg, out_dir)
+    data = get_dataset(cfg, seeds["data"])
     _prepare_run_dir(cfg, out_dir)
     path = out_dir / "dataset.csv"
     save_dataset(data, path)
@@ -219,18 +222,31 @@ class _TrainRun:
     orders: dict
 
 
-def _start_train(cfg: dict, out_dir) -> _TrainRun:
+def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
     """What a training run does before its first step: the model, its
     training config and drop orders, and the run directory with the config,
-    the run record and, for an inline dataset, the data."""
-    cfg, out_dir, seeds, data = _setup(cfg, out_dir)
+    the run record and, for an inline dataset, the data.  ``datasets`` maps
+    each (dataset spec, data seed) that earlier runs of the job met to the
+    dataset and, for an inline one, the CSV it was written to; a run that
+    finds its own there shares the dataset and copies the CSV and its
+    sidecar."""
+    cfg, out_dir, seeds = _setup(cfg, out_dir)
+    key = (json.dumps(cfg["dataset"], sort_keys=True), seeds["data"])
+    data, written = datasets.get(key) or (get_dataset(cfg, seeds["data"]), None)
     model = build_model(cfg, data.dim, seeds["init"])
     train_cfg, label = make_train_config(cfg, model)
     orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
                          model, seeds["eval"])
     _prepare_run_dir(cfg, out_dir)
     if "path" not in cfg["dataset"]:
-        save_dataset(data, out_dir / "dataset.csv")
+        path = out_dir / "dataset.csv"
+        if written is None:
+            save_dataset(data, path)
+            written = path
+        else:
+            for suffix in ("", ".meta.json"):
+                shutil.copyfile(f"{written}{suffix}", f"{path}{suffix}")
+    datasets[key] = data, written
     return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
 
 
@@ -264,21 +280,25 @@ def _finish_train(run: _TrainRun, result, threads: int):
 
 
 def _train_runs(cfgs, out_dirs, threads: int) -> list:
-    """Training runs whose configs differ only in seed, trained together by
-    :func:`~nestedflow.optim.train_seeds` and each evaluated on ``threads``
-    threads; returns each run's (RunReport, run directory), or the
-    exception that ends it."""
-    outcomes, runs = [None] * len(cfgs), {}
+    """Training runs whose configs differ only in seed and ``nd.lambda``,
+    trained together by :func:`~nestedflow.optim.train_seeds` and each
+    evaluated on ``threads`` threads; returns each run's (RunReport, run
+    directory), or the exception that ends it."""
+    outcomes, runs, datasets = [None] * len(cfgs), {}, {}
     for i, (cfg, out_dir) in enumerate(zip(cfgs, out_dirs)):
         try:
-            runs[i] = _start_train(cfg, out_dir)
+            runs[i] = _start_train(cfg, out_dir, datasets)
         except Exception as e:
             outcomes[i] = e
     if not runs:
         return outcomes
     ready = list(runs.values())
+    train_cfg = ready[0].train_cfg
+    if train_cfg.nd is not None:
+        train_cfg = replace(train_cfg, nd=replace(
+            train_cfg.nd, lam=np.array([r.train_cfg.nd.lam for r in ready])))
     try:
-        results = train_seeds([r.model for r in ready], [r.data for r in ready], ready[0].train_cfg,
+        results = train_seeds([r.model for r in ready], [r.data for r in ready], train_cfg,
                               [np.random.default_rng(r.seeds["train"]) for r in ready])
     except Exception as e:
         results = [e] * len(runs)
@@ -306,7 +326,8 @@ def run_train(cfg: dict, out_dir=None, threads: int = 1):
 def run_eval(cfg: dict, checkpoint_path=None, out_dir=None, threads: int = 1):
     """Evaluate a stored checkpoint (or, without one, the PCA oracle) on the
     configured dataset, on ``threads`` threads."""
-    cfg, out_dir, seeds, data = _setup(cfg, out_dir)
+    cfg, out_dir, seeds = _setup(cfg, out_dir)
+    data = get_dataset(cfg, seeds["data"])
     _prepare_run_dir(cfg, out_dir)
     if checkpoint_path is None:
         return _run_pca_oracle(cfg, data, out_dir)
@@ -372,10 +393,12 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
     aggregate table and do not stop the sweep.
 
-    Children whose configs differ only in seed form one pool job, trained
-    together (see :func:`_train_runs`).  Jobs are halved, largest first,
-    until there are at least as many jobs as pool workers.  Each worker
-    evaluates on its share of ``worker_count()`` threads."""
+    Every child's config is validated first, so an invalid one fails the
+    sweep before its directory exists.  Children whose configs differ only
+    in seed and ``nd.lambda`` form one pool job, trained together (see
+    :func:`_train_runs`).  Jobs are halved, largest first, until there are
+    at least as many jobs as pool workers.  Each worker evaluates on its
+    share of ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -402,12 +425,17 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             name = f"{tag}_s{seed}".replace("/", "").replace("\\", "")
             params = dict(zip(keys, values))
             child = f"{params} seed {seed}"
+            try:
+                cfg = resolve_config(validate_config(cfg))
+            except ConfigError as e:
+                raise ConfigError(f"sweep child {child}: {e}") from None
             if name in named:
                 raise ConfigError(f"sweep children {named[name]} and {child} "
                                   f"would share the run directory {name!r}")
             named[name] = child
             children.append((params, seed, cfg, out_dir / name))
     out_dir.mkdir(parents=True, exist_ok=True)
+    build_identifier()  # resolved once here, so forked workers inherit it
 
     budget = worker_count()
     workers = min(budget, len(children), os.cpu_count() or 1)
@@ -457,19 +485,22 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
 
 def _job_key(cfg: dict) -> str:
-    """Sweep children with equal keys differ only in seed and form one job.
-    A random training drop order is drawn from the seed, so such a child
-    keeps its seed in its key and trains alone."""
-    nd = cfg.get("nd")
-    per_seed = isinstance(nd, dict) and nd.get("order") == "random"
-    return json.dumps({**cfg, "seed": cfg["seed"] if per_seed else None}, sort_keys=True)
+    """Sweep children with equal keys differ only in seed and ``nd.lambda``
+    and form one job.  A random training drop order is drawn from the seed,
+    so such a child keeps its seed in its key and trains alone."""
+    key = {**cfg, "seed": None}
+    if "nd" in cfg:
+        key["nd"] = {**cfg["nd"], "lambda": None}
+        if cfg["nd"].get("order") == "random":
+            key["seed"] = cfg["seed"]
+    return json.dumps(key, sort_keys=True)
 
 
 def _run_sweep_job(payloads, threads: int):
-    """One pool job, children that differ only in seed, evaluated on
-    ``threads`` threads: each child's LL and MSE curve, or the error it is
-    recorded with.  Numpy's floating-point warnings are off, since the
-    non-finite checks report each failure."""
+    """One pool job, children that differ only in seed and ``nd.lambda``,
+    evaluated on ``threads`` threads: each child's LL and MSE curve, or the
+    error it is recorded with.  Numpy's floating-point warnings are off,
+    since the non-finite checks report each failure."""
     with np.errstate(all="ignore"):
         return [_sweep_outcome(o) for o in _train_runs(*zip(*payloads), threads)]
 

@@ -45,14 +45,19 @@ class GeometricSchedule:
         out[-1] = (1.0 - self.p) ** (self.K - 1)
         return out
 
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """The truncation index of each uniform draw in ``u``, of any shape;
+        needs p < 1.  Elementwise, so one call over many seeds' draws gives
+        each the index of a call over its own."""
+        k = np.floor(np.log1p(-u) / math.log1p(-self.p)).astype(np.int64) + 1
+        return np.minimum(k, self.K)
+
 
 def sample_ks(s: GeometricSchedule, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n truncation indices via inverse-CDF sampling."""
+    """n truncation indices via inverse-CDF sampling; p = 1 draws nothing."""
     if s.p == 1.0:
         return np.ones(n, dtype=np.int64)
-    u = rng.random(n)
-    k = np.floor(np.log1p(-u) / math.log1p(-s.p)).astype(np.int64) + 1
-    return np.minimum(k, s.K)
+    return s.inverse_cdf(rng.random(n))
 
 
 def identity_order(K: int) -> np.ndarray:
@@ -72,15 +77,19 @@ def as_order(order, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NestedDropoutConfig:
-    """Reconstruction-penalty settings: weight, index distribution, order."""
+    """Reconstruction-penalty settings: weight, index distribution, order.
+    For a seed stack ``lam`` may be an (S,) array, one weight per seed."""
 
-    lam: float
+    lam: float | np.ndarray
     schedule: GeometricSchedule
     drop_order: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
+        lam = np.asarray(self.lam, dtype=np.float64)
+        if (lam < 0.0).any():
             raise ValueError("lambda must be nonnegative")
+        if lam.ndim:
+            object.__setattr__(self, "lam", lam)
         order = identity_order(self.schedule.K) if self.drop_order is None \
             else as_order(self.drop_order, self.schedule.K)
         object.__setattr__(self, "drop_order", order)
@@ -103,13 +112,16 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
 
     Returns ``(total, nll_mean, recon_mean)``, the last two as floats.  The
     truncation mask is a constant of the evaluation, so dropped coordinates
-    contribute exactly zero gradient.  With ``cfg`` None or ``lam == 0`` the
-    reconstruction pass is skipped entirely and the total is exactly the
-    mean NLL.
+    contribute exactly zero gradient.  With ``cfg`` None or every ``lam``
+    0 the reconstruction pass is skipped entirely and the total is exactly
+    the mean NLL.
 
-    For a seed stack ``m``, ``x`` is (S, N, D) and ``ks`` (S, N), and each
-    returned term is an array with one value per seed (``recon_mean`` stays
-    0.0 when the reconstruction pass is skipped); each seed's values and
+    For a seed stack ``m``, ``x`` is (S, N, D) and ``ks`` (S, N), ``lam``
+    is one weight or one per seed, and each returned term is an array with
+    one value per seed (``recon_mean`` stays 0.0 when the reconstruction
+    pass is skipped).  When only some seeds have ``lam`` > 0 the pass runs
+    for all: a ``lam`` 0 seed, given ``ks`` of K, adds its reconstruction
+    with weight 0 and its ``recon_mean`` reads 0.0.  Each seed's values and
     gradient row are bit for bit those of its solo model.
 
     Everything runs in numpy, at ``theta`` (a plain array, an
@@ -127,19 +139,24 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     ll = np.add(standard_normal_logpdf_rows(z), logdet)
     nll_mean = np.multiply(np.sum(ll, axis=-1), -1.0 / n)
     total, recon_mean = nll_mean, 0.0
-    penalised = cfg is not None and cfg.lam != 0.0
+    lam = 0.0 if cfg is None else cfg.lam
+    per_seed = np.ndim(lam) > 0
+    penalised = lam.any() if per_seed else lam != 0.0
     if penalised:
         mask = keep_mask(ks, cfg.drop_order, d).astype(np.float64)
         diff = np.subtract(m.inverse_pass(ws, np.multiply(z, mask), inverse_backs), x)
         recon_mean = np.multiply(np.sum(np.square(diff), axis=(-2, -1)), 1.0 / (n * d))
-        total = np.add(nll_mean, np.multiply(recon_mean, cfg.lam))
+        if per_seed:
+            recon_mean = np.where(lam != 0.0, recon_mean, 0.0)
+        total = np.add(nll_mean, np.multiply(recon_mean, lam))
 
     def sweep(g):
         g_rows = g * (-1.0 / n)  # dL/d(each row's log likelihood)
         g_z = np.multiply(g_rows * -0.5, 2.0 * z)
         inverse_gws = None
         if penalised:
-            g_rec = np.multiply(g * cfg.lam * (1.0 / (n * d)), 2.0 * diff)
+            scale = g * lam * (1.0 / (n * d))
+            g_rec = np.multiply(scale[:, None, None] if per_seed else scale, 2.0 * diff)
             inverse_gws, g_masked = m.inverse_vjp(inverse_backs, g_rec)
             g_z = g_z + np.multiply(g_masked, mask)
         return m.forward_vjp(ws, forward_backs, g_z, np.full(n, g_rows),

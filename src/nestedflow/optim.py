@@ -9,8 +9,9 @@ every iteration are recorded as a trace.
 
 :func:`train_seeds` is the one entry that knows about seed stacks: given
 two or more models it trains them as one stack in the same loop.  Each
-seed draws from its own generator, the stack takes one step on (S, B, D)
-batches, and Adam updates its (S, P) parameters and moments elementwise.
+seed draws from its own generator, with its own nested-dropout weight λ,
+the stack takes one step on (S, B, D) batches, and Adam updates its (S, P)
+parameters and moments elementwise.
 A solo run, and :func:`train`, take the plain 2-D path.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .autodiff import NonFiniteLossError, evaluate_with_gradient
 from .datasets import write_csv
 from .flows import FlowEvalError, FlowModel, stack_models
-from .nested_dropout import NestedDropoutConfig, loss_terms, sample_ks
+from .nested_dropout import NestedDropoutConfig, loss_terms
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -142,11 +143,14 @@ def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
 def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
     """Train each model as :func:`train` does, on its own training set and
     generator; returns, per model, its :class:`TrainResult` or the error
-    its solo run raises.
+    its solo run raises.  ``cfg.nd.lam`` is one weight for every model or
+    one per model.
 
     One model trains solo.  Two or more train as one seed stack
     (:func:`~nestedflow.flows.stack_models`): each consumes its generator as
-    its solo run does, and one step moves every seed.  When a stacked step
+    its solo run does, and one step moves every seed.  A stack in which some
+    seeds have λ > 0 runs the reconstruction pass for all (see
+    :func:`~nestedflow.nested_dropout.loss_terms`).  When a stacked step
     fails, each seed replays it alone: a seed whose replay fails drops out
     with its solo run's error, and the others go on from their replayed
     step.  Each result's ``seconds`` time the whole stack; at the end each
@@ -154,25 +158,37 @@ def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
     """
     stacked = len(models) > 1
     m = stack_models(models) if stacked else models[0]
-    tables = [_train_table(p) for p in train_points]
+    # Each distinct training set once, so seeds sharing one gather from one
+    # copy of it; blocks[s] is seed s's (first, end) row in the table.
+    tables, spans, blocks, n = [], {}, [], 0
+    for points in train_points:
+        if id(points) not in spans:
+            tables.append(_train_table(points))
+            spans[id(points)] = n, n + len(tables[-1])
+            n += len(tables[-1])
+        blocks.append(spans[id(points)])
+    table = np.concatenate(tables) if len(tables) > 1 else tables[0]
+    lams = np.broadcast_to(0.0 if cfg.nd is None else cfg.nd.lam, len(models))
+    penalised = [lam > 0.0 for lam in lams.tolist()]
     terms = np.empty((3, len(models), cfg.iterations))  # nll, recon, lr per seed
     errors = [None] * len(models)
     live = list(range(len(models)))  # the seeds still training, in stack order
+    step_cfg = _with_lam(cfg, lams, live if stacked else 0)
     state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
-        batches = [_batch(tables[s], cfg, rngs[s]) for s in live]
+        x, ks = _draws(table, blocks, cfg, penalised, rngs, live)
         try:
             if stacked:
-                x, ks = zip(*batches)
-                state = _step(m, np.array(x), None if ks[0] is None else np.array(ks),
-                              cfg, state, t, terms, live)
+                state = _step(m, x, ks, step_cfg, state, t, terms, live)
             else:
-                state = _step(m, *batches[0], cfg, state, t, terms, 0)
+                state = _step(m, x[0], None if ks is None else ks[0], step_cfg, state, t,
+                              terms, 0)
         except ArithmeticError as e:
             if stacked:
-                m, state, live = _replay_alone(m, models, batches, cfg, state, t, terms,
-                                               live, errors)
+                m, state, live = _replay_alone(m, models, x, ks, cfg, lams, state, t,
+                                               terms, live, errors)
+                step_cfg = _with_lam(cfg, lams, live)
             else:
                 errors[0], live = _diverged(e, terms, 0, t), []
             if not live:
@@ -196,13 +212,41 @@ def _train_table(points) -> np.ndarray:
     return x_all
 
 
-def _batch(x_all, cfg: TrainConfig, rng):
-    """One iteration's draws from one seed's generator: the batch rows, then
-    the truncation indices when the reconstruction penalty is active."""
-    x = np.take(x_all, rng.integers(0, x_all.shape[0], size=cfg.batch_size), axis=0)
-    if cfg.nd is not None and cfg.nd.lam > 0.0:
-        return x, sample_ks(cfg.nd.schedule, rng, cfg.batch_size)
-    return x, None
+def _with_lam(cfg: TrainConfig, lams: np.ndarray, seeds) -> TrainConfig:
+    """``cfg`` with the λ of ``seeds``: a stack's list of seeds, or one."""
+    if cfg.nd is None:
+        return cfg
+    lam = lams[seeds] if isinstance(seeds, list) else float(lams[seeds])
+    return replace(cfg, nd=replace(cfg.nd, lam=lam))
+
+
+def _draws(table, blocks: list, cfg: TrainConfig, penalised: list, rngs, live: list):
+    """One iteration's draws for the seeds in ``live``, each from its own
+    generator in its solo run's order: the batch row indices, then, when its
+    λ > 0, the truncation uniforms.  Seed s's training rows are the rows
+    ``range(*blocks[s])`` of ``table``.  Returns the (S, B, D) batch,
+    gathered at once, and the (S, B) truncation indices, K (every coordinate
+    kept) for a λ = 0 seed, or None when no seed has λ > 0."""
+    b = cfg.batch_size
+    schedule = None if cfg.nd is None else cfg.nd.schedule
+    uniform = schedule is not None and schedule.p < 1.0
+    rows, us = [], []
+    for s in live:
+        # Generator.integers(lo, hi) draws as integers(0, hi - lo) does,
+        # shifted by lo: the seed's solo draws, as rows of the whole table.
+        rows.append(rngs[s].integers(*blocks[s], size=b))
+        if penalised[s] and uniform:
+            us.append(rngs[s].random(b))
+    x = np.take(table, np.array(rows), axis=0)
+    keep = [penalised[s] for s in live]
+    if not any(keep):
+        return x, None
+    ks = schedule.inverse_cdf(np.array(us)) if uniform else np.ones((sum(keep), b), np.int64)
+    if all(keep):
+        return x, ks
+    out = np.full((len(live), b), schedule.K)
+    out[keep] = ks
+    return x, out
 
 
 def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
@@ -224,19 +268,20 @@ def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
     return state
 
 
-def _replay_alone(m, models, batches, cfg: TrainConfig, state: AdamState, t: int,
+def _replay_alone(m, models, x, ks, cfg: TrainConfig, lams, state: AdamState, t: int,
                   terms, live: list, errors: list):
     """Replay a failed stacked step t one seed at a time, each on its own
-    model.  A seed whose replay fails gets the error its solo run raises in
-    ``errors``; the stack of the others, with their replayed step taken, goes
-    on.  Returns that stack, its Adam state and its seeds."""
+    model with its own λ.  A seed whose replay fails gets the error its solo
+    run raises in ``errors``; the stack of the others, with their replayed
+    step taken, goes on.  Returns that stack, its Adam state and its seeds."""
     kept, states = [], []
-    for j, (s, batch) in enumerate(zip(live, batches)):
+    for j, s in enumerate(live):
         models[s].set_params(m.params.values[j])
         seed_state = replace(state, first_moment=state.first_moment[j],
                              second_moment=state.second_moment[j])
         try:
-            states.append(_step(models[s], *batch, cfg, seed_state, t, terms, s))
+            states.append(_step(models[s], x[j], None if ks is None else ks[j],
+                                _with_lam(cfg, lams, s), seed_state, t, terms, s))
             kept.append(s)
         except ArithmeticError as e:
             errors[s] = _diverged(e, terms, s, t)

@@ -787,6 +787,28 @@ def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, h
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base_nd, grid, message", [
+    (None, {"nd.lambda": [0, 1]},
+     "sweep child {'nd.lambda': 0} seed 0: config.nd: 'p' is a required property"),
+    ({"lambda": 0.0, "p": 0.5}, {"train.batch_size": [8, 2.0]},
+     "sweep child {'train.batch_size': 2.0} seed 0: config.train.batch_size: "
+     "2.0 is not of type 'integer'"),
+], ids=["nd-without-p", "float-batch-size"])
+def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_nd,
+                                                        grid, message):
+    """Every child's config is validated before the sweep directory exists:
+    one line naming the grid point, the seed and the field, and exit 1."""
+    base = write_config(tmp_path / "base.json")
+    if base_nd is not None:
+        base["nd"] = base_nd
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"base": base, "grid": grid, "seeds": [0, 1]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_child_names_drop_path_separators(tmp_path):
     from nestedflow.experiment import run_sweep
     base = write_config(tmp_path / "base.json")
@@ -888,12 +910,15 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
 
 def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
     """The pool never has more workers than children (or CPUs); a
-    one-child sweep runs serially whatever NESTEDFLOW_THREADS says."""
+    one-child sweep runs serially whatever NESTEDFLOW_THREADS says.  The
+    build identifier is resolved before the pool starts, so forked workers
+    inherit it and none of them runs git again."""
     import concurrent.futures
     sizes = []
 
     class RecordingPool:  # runs the children in this process
         def __init__(self, max_workers):
+            assert experiment.build_identifier.cache_info().currsize == 1
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -910,6 +935,7 @@ def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
     base = write_config(tmp_path / "base.json")
     for n_children in (1, 2):
         sizes.clear()
+        experiment.build_identifier.cache_clear()
         sweep = {"base": base, "grid": {"train.iterations": [2, 3][:n_children]}}
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(sweep))

@@ -250,6 +250,48 @@ def test_train_seeds_matches_solo_train_bytewise(kind):
                     getattr(solo.trace, column).tobytes(), column
 
 
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind):
+    """A stack whose seeds have different nested-dropout weights, two of
+    them 0, and whose training sets differ in size, trains each seed as
+    ``train`` does with its own weight: the same parameters and every trace
+    column byte for byte, a reconstruction term of 0.0 at weight 0, or the
+    same error.  Seed 1's data holds a row whose square overflows, so it
+    fails alone and the stack goes on mixed."""
+    dim, build = BUILDERS[kind]
+    lams = [0.0, 20.0, 0.5, 0.0]
+    data = [np.random.default_rng(60 + s).standard_normal((40 + 8 * s, dim))
+            for s in range(4)]
+    data[1][0] = 1e200  # first drawn at iteration 1
+    schedule = GeometricSchedule(p=0.33, K=dim)
+
+    def cfg(lam):
+        return TrainConfig(12, 8, 1e-2, "cosine-to-zero",
+                           NestedDropoutConfig(lam=lam, schedule=schedule))
+
+    def solo_train(s):
+        return train(build(np.random.default_rng(70 + s)), data[s], cfg(lams[s]),
+                     np.random.default_rng(80 + s))
+
+    with np.errstate(all="ignore"):
+        stacked = train_seeds([build(np.random.default_rng(70 + s)) for s in range(4)],
+                              data, cfg(np.array(lams)),
+                              [np.random.default_rng(80 + s) for s in range(4)])
+        with pytest.raises(TrainDivergenceError) as solo_error:
+            solo_train(1)
+        assert type(stacked[1]) is TrainDivergenceError
+        assert not str(stacked[1]).startswith("training diverged at iteration 0")
+        assert str(stacked[1]) == str(solo_error.value)
+        for s in (0, 2, 3):
+            result, solo = stacked[s], solo_train(s)
+            assert result.model.params.values.tobytes() == solo.model.params.values.tobytes()
+            for column in ("iteration", "nll_term", "recon_term", "lr"):
+                assert getattr(result.trace, column).tobytes() == \
+                    getattr(solo.trace, column).tobytes(), column
+    assert not stacked[0].trace.recon_term.any() and not stacked[3].trace.recon_term.any()
+    assert stacked[2].trace.recon_term.all()
+
+
 def test_trace_csv_layout(tmp_path):
     m = build_qr_flow(2, np.random.default_rng(17))
     r = train(m, training_data(), TrainConfig(4, 8, 1e-2),

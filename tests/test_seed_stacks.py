@@ -1,12 +1,14 @@
 """Seed stacks through ``run_sweep``: sweep children whose configs differ
-only in seed train as one stack, and each child writes the bytes that a solo
-``nestedflow train`` of its config writes."""
+only in seed and ``nd.lambda`` train as one stack, and each child writes the
+bytes that a solo ``nestedflow train`` of its config writes."""
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
+from nestedflow import experiment
 from nestedflow.cli import main
 from nestedflow.evaluation import deterministic_report_bytes
 
@@ -58,14 +60,11 @@ def test_stacked_children_match_solo_train_bytewise(tmp_path, monkeypatch, model
             "train": {"iterations": 25, "batch_size": 8, "lr_initial": 0.01},
             "nd": {"lambda": 0.0, "p": 0.33},
             "eval": {"orders": ["identity", "reversed"]}}
-    rows = sweep(tmp_path, "sweep", base, {"nd.lambda": [0.0, 20.0]},
+    rows = sweep(tmp_path, "sweep", base, {"nd.lambda": [0.0, 0.5, 20.0]},
                  list(range(n_seeds)))
-    assert [r["status"] for r in rows] == ["ok"] * (2 * n_seeds)
-    for lam in ("0.0", "20.0"):
-        # One stack per lambda: its children report the stack's training time.
-        stack = [r for r in rows if r["nd.lambda"] == lam]
-        assert len(stack) == n_seeds
-        assert len({train_seconds(r) for r in stack}) == 1
+    assert [r["status"] for r in rows] == ["ok"] * (3 * n_seeds)
+    # One stack per sweep column: every child reports the stack's training time.
+    assert len({train_seconds(r) for r in rows}) == 1
     for row in rows:
         assert_matches_solo_train(tmp_path, row)
 
@@ -94,3 +93,34 @@ def test_failing_seed_fails_alone_with_its_solo_error(tmp_path, monkeypatch, kin
         if row["status"] == "ok":
             assert_matches_solo_train(tmp_path, row)
     assert any("TrainDivergenceError: training diverged" in r["error"] for r in rows)
+
+
+def test_a_job_writes_each_dataset_once(tmp_path, monkeypatch):
+    """A job makes and writes each distinct (dataset spec, data seed) once
+    and copies the files into its other children; every child's dataset and
+    sidecar equal, byte for byte, `nestedflow generate` of its config."""
+    monkeypatch.setenv("NESTEDFLOW_THREADS", "1")
+    writers = []
+    save_dataset = experiment.save_dataset
+
+    def recording_save(data, path):
+        writers.append(Path(path).parent.name)
+        save_dataset(data, path)
+
+    monkeypatch.setattr(experiment, "save_dataset", recording_save)
+    base = {"dataset": LINEAR_DATA, "model": {"kind": "qr-linear"},
+            "train": {"iterations": 3, "batch_size": 8, "lr_initial": 0.01},
+            "nd": {"lambda": 0.0, "p": 0.33}}
+    grid = {"model.kind": ["qr-linear", "lu-linear"], "nd.lambda": [0.0, 20.0]}
+    rows = sweep(tmp_path, "sweep", base, grid, [0, 1])
+    assert [r["status"] for r in rows] == ["ok"] * 8
+    # One job per model kind; each writes its two seeds' data once.
+    assert writers == [f"kind={kind}_lambda=0.0_s{seed}"
+                       for kind in ("qr-linear", "lu-linear") for seed in (0, 1)]
+    for row in rows:
+        child = Path(row["run_dir"])
+        generated = tmp_path / ("generate-" + child.name)
+        assert main(["generate", "--config", str(child / "config.json"),
+                     "--output", str(generated)]) == 0
+        for name in ("dataset.csv", "dataset.csv.meta.json"):
+            assert (child / name).read_bytes() == (generated / name).read_bytes(), name
