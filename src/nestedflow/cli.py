@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 usage/config/I-O error, 2 numerical failure: any
 ``ArithmeticError``, the base of the package's own numerical errors
 (non-finite loss, training divergence, a non-finite flow output, a singular
 QR/LU factor met in an inverse pass or a zero Householder vector met while
-building a QR layer's weights, a report's failed checks).
+building a QR layer's weights, a PCA covariance that overflows, a report's
+failed checks).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -133,8 +135,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # The non-finite checks report each failure in one line, so numpy's
-        # floating-point warnings would only repeat it.
-        with np.errstate(all="ignore"):
+        # floating-point warnings would only repeat it; others print in one.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            experiment.one_line_warnings()
             return args.func(args)
     except NUMERICAL_ERRORS as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -8,7 +8,7 @@ structure at any D.
 
 On disk a dataset is a headerless CSV (one row per point, 17 significant
 digits) plus a ``<path>.meta.json`` sidecar holding generator provenance
-and split ranges.
+and split ranges; this module alone reads, writes and copies the pair.
 
 Every CSV goes through :func:`write_csv`, as ``format(v, ".17g")`` per value:
 for zeros and 1e-11 < |v| < 1e14 it finds dtoa's correctly rounded 17-digit
@@ -19,6 +19,7 @@ in array operations; blocks under 256 values or with other values use ``%``.
 from __future__ import annotations
 
 import json
+import shutil
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ import numpy as np
 from .linalg import random_rotation
 
 SPLIT_NAMES = ("train", "val", "test")
+_SIDECAR = ".meta.json"  # a dataset CSV's provenance and splits are at its path + _SIDECAR
 _BLOCK_VALUES = 2**12  # per CSV block: its working set stays under 1 MB
 
 
@@ -51,15 +53,12 @@ class Dataset:
             raise ValueError("points must be a 2-D table")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
-        n = pts.shape[0]
-        used = []
         for name, (start, stop) in self.split.items():
             if name not in SPLIT_NAMES:
                 raise ValueError(f"unknown split name {name!r}")
-            if not (0 <= start <= stop <= n):
+            if not (0 <= start <= stop <= len(pts)):
                 raise ValueError(f"split {name!r} range ({start}, {stop}) out of bounds")
-            used.append((start, stop))
-        used.sort()
+        used = sorted(self.split.values())
         for (_, stop_a), (start_b, _) in zip(used, used[1:]):
             if start_b < stop_a:
                 raise ValueError("split ranges overlap")
@@ -77,30 +76,25 @@ class Dataset:
         return stop > start
 
 
+def _rotated_gaussian(generator, eigenvalues, n, n_train, seed, parameters) -> Dataset:
+    """n points of a centered Gaussian with covariance eigenvalues
+    ``eigenvalues`` under a seed-derived uniformly random rotation (det +1);
+    the first n_train are the train split and the rest the test split."""
+    rng = np.random.default_rng(seed)
+    rotation = random_rotation(len(eigenvalues), rng)
+    points = (rng.standard_normal((n, len(eigenvalues))) * np.sqrt(eigenvalues)) @ rotation.T
+    return Dataset(points, split={"train": (0, n_train), "test": (n_train, n)},
+                   provenance={"generator": generator, "seed": int(seed),
+                               "parameters": {**parameters, "rotation": rotation.tolist()}})
+
+
 def gen_synthetic_gaussian(n_train: int, n_test: int, seed: int) -> Dataset:
-    """Centered 3-D Gaussian with covariance eigenvalues (1, 0.1, 0.01)
-    under a seed-derived uniformly random rotation (det +1)."""
+    """Rotated 3-D Gaussian with covariance eigenvalues (1, 0.1, 0.01)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("split sizes must be at least 1")
-    eigenvalues = np.array([1.0, 0.1, 0.01])
-    rng = np.random.default_rng(seed)
-    rotation = random_rotation(3, rng)
-    n = n_train + n_test
-    points = (rng.standard_normal((n, 3)) * np.sqrt(eigenvalues)) @ rotation.T
-    return Dataset(
-        points=points,
-        split={"train": (0, n_train), "test": (n_train, n)},
-        provenance={
-            "generator": "synthetic-gaussian",
-            "seed": int(seed),
-            "parameters": {
-                "n_train": n_train,
-                "n_test": n_test,
-                "eigenvalues": eigenvalues.tolist(),
-                "rotation": rotation.tolist(),
-            },
-        },
-    )
+    eigenvalues = [1.0, 0.1, 0.01]
+    return _rotated_gaussian("synthetic-gaussian", eigenvalues, n_train + n_test, n_train, seed,
+                             {"n_train": n_train, "n_test": n_test, "eigenvalues": eigenvalues})
 
 
 def gen_toy_hierarchical(dim: int, n: int, seed: int) -> Dataset:
@@ -109,25 +103,8 @@ def gen_toy_hierarchical(dim: int, n: int, seed: int) -> Dataset:
         raise ValueError("dim must be a multiple of 4, at most 64")
     if n < 5:
         raise ValueError("need at least 5 points for an 80/20 split")
-    eigenvalues = 0.6 ** np.arange(dim)
-    rng = np.random.default_rng(seed)
-    rotation = random_rotation(dim, rng)
-    points = (rng.standard_normal((n, dim)) * np.sqrt(eigenvalues)) @ rotation.T
-    n_train = (4 * n) // 5
-    return Dataset(
-        points=points,
-        split={"train": (0, n_train), "test": (n_train, n)},
-        provenance={
-            "generator": "toy-hierarchical",
-            "seed": int(seed),
-            "parameters": {
-                "dim": dim,
-                "n": n,
-                "spectrum_ratio": 0.6,
-                "rotation": rotation.tolist(),
-            },
-        },
-    )
+    return _rotated_gaussian("toy-hierarchical", 0.6 ** np.arange(dim), n, (4 * n) // 5, seed,
+                             {"dim": dim, "n": n, "spectrum_ratio": 0.6})
 
 
 def _layout_tables():
@@ -214,7 +191,6 @@ def write_csv(path, table, header=""):
 
 
 def save_dataset(d: Dataset, path):
-    path = Path(path)
     write_csv(path, d.points)
     meta = {
         "generator": d.provenance.get("generator"),
@@ -222,14 +198,22 @@ def save_dataset(d: Dataset, path):
         "parameters": d.provenance.get("parameters", {}),
         "splits": {name: list(rng) for name, rng in d.split.items()},
     }
-    with open(path.with_name(path.name + ".meta.json"), "w") as f:
+    with open(f"{path}{_SIDECAR}", "w") as f:
         json.dump(meta, f, indent=1)
         f.write("\n")
 
 
+def copy_dataset(src, dst):
+    """Copy the dataset CSV at ``src`` and its sidecar to ``dst``."""
+    shutil.copyfile(src, dst)
+    shutil.copyfile(f"{src}{_SIDECAR}", f"{dst}{_SIDECAR}")
+
+
 def load_dataset(path) -> Dataset:
+    """A dataset CSV (UTF-8 lines split on "\\n", stripped, blank ones skipped,
+    cells read by ``float``) and its sidecar; errors name the file and line."""
     path = Path(path)
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -241,20 +225,22 @@ def load_dataset(path) -> Dataset:
             if not line:
                 continue
             cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+            width = width or len(cells)
+            if len(cells) != width:
                 raise DatasetFormatError(
                     f"{path}: line {lineno} has {len(cells)} columns, expected {width}")
             try:
                 rows.append([float(c) for c in cells])
             except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: non-numeric cell at line {lineno}") from None
+                raise DatasetFormatError(f"{path}: non-numeric cell at line {lineno}") from None
+            linenos.append(lineno)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     points = np.array(rows)
-    meta_path = path.with_name(path.name + ".meta.json")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"{path}: non-finite cell at line {linenos[bad[0]]}")
+    meta_path = Path(f"{path}{_SIDECAR}")
     if not meta_path.exists():
         warnings.warn(f"no sidecar {meta_path.name}; loading with empty provenance")
         return Dataset(points=points, split={"train": (0, len(points))})
@@ -276,4 +262,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{meta_path}: no \"train\" split")
     split = {name: tuple(rng) for name, rng in splits.items()}
     provenance = {k: meta.get(k) for k in ("generator", "seed", "parameters")}
-    return Dataset(points=points, split=split, provenance=provenance)
+    try:
+        return Dataset(points=points, split=split, provenance=provenance)
+    except ValueError as e:  # a split out of bounds, overlapping or unknown
+        raise DatasetFormatError(f"{meta_path}: {e}") from None

@@ -26,9 +26,10 @@ import functools
 import itertools
 import json
 import os
-import shutil
 import subprocess
+import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,8 +41,8 @@ from .config import (SWEEP_SCHEMA, ConfigError, config_hash, resolve_config,
                      validate_config)
 from .coupling import (MultiScaleFlow, build_multiscale_flow,
                        depth_forward_order, multiscale_depth_order)
-from .datasets import Dataset, gen_synthetic_gaussian, gen_toy_hierarchical, \
-    load_dataset, save_dataset
+from .datasets import Dataset, copy_dataset, gen_synthetic_gaussian, \
+    gen_toy_hierarchical, load_dataset, save_dataset
 from .evaluation import eval_split, make_run_report, report_to_dict, save_report
 from .flows import FlowModel, build_lu_flow, build_qr_flow
 from .nested_dropout import GeometricSchedule, NestedDropoutConfig, as_order, \
@@ -244,8 +245,7 @@ def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
             save_dataset(data, path)
             written = path
         else:
-            for suffix in ("", ".meta.json"):
-                shutil.copyfile(f"{written}{suffix}", f"{path}{suffix}")
+            copy_dataset(written, path)
     datasets[key] = data, written
     return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
 
@@ -453,7 +453,7 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
         # Imported here so that commands which start no pool do not import
         # multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=one_line_warnings) as pool:
             results = list(pool.map(run_job, payloads))
     else:
         results = [run_job(p) for p in payloads]
@@ -494,6 +494,11 @@ def _job_key(cfg: dict) -> str:
         if cfg["nd"].get("order") == "random":
             key["seed"] = cfg["seed"]
     return json.dumps(key, sort_keys=True)
+
+
+def one_line_warnings():
+    """Print each warning as one line: in the CLI and in each sweep pool worker."""
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
 
 
 def _run_sweep_job(payloads, threads: int):

@@ -43,6 +43,8 @@ def pca_fit(x: np.ndarray) -> PCAModel:
     mean = x.mean(axis=0)
     centered = x - mean
     cov = (centered.T @ centered) / x.shape[0]
+    if not np.all(np.isfinite(cov)):  # finite points near the float limit: numerical
+        raise FloatingPointError("PCA covariance is not finite")
     w, v = np.linalg.eigh(cov)
     w, v = w[::-1], v[:, ::-1]  # descending
     # Deterministic signs: each eigenvector's largest-magnitude entry is

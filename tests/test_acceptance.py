@@ -12,8 +12,11 @@ Training runs are deliberately identical in protocol so results stay
 comparable: 30k Adam steps, batch 500, lr 5e-3 for the 3-D linear flows;
 3k steps, batch 256 for the 16-D multi-scale flow.  The linear runs of one
 kind and penalty train as one seed stack (``train_seeds``), each seed byte
-for byte its solo run, so a run's ``seconds`` time its whole stack; the
-16-D runs train solo, since their stack is slower than solo runs.
+for byte its solo run, so a run's ``seconds`` time its whole stack.  The
+16-D runs train solo.  Their stack is also byte for byte the solo runs, but
+in 8 alternating pairs of 600-step runs (2-vCPU VM, OpenBLAS 1 thread) it
+took 1.06-1.13x as long as the five solo runs; an earlier measurement on
+such a VM had it 1.04-1.23x faster, so neither way is a clear gain.
 """
 
 import json

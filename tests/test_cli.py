@@ -159,9 +159,10 @@ def test_train_on_stored_dataset(tmp_path):
 
 @pytest.mark.parametrize("splits", [
     {"train": "ab"}, {"train": [0.5, 10]}, {"train": 5}, {"train": [0, 10, 20]},
-    [[0, 10]], {"test": [0, 10]},
+    [[0, 10]], {"test": [0, 10]}, {"train": [0, 100]},
+    {"train": [0, 48], "test": [40, 64]}, {"train": [0, 48], "holdout": [48, 64]},
 ], ids=["string", "float-bound", "number", "triple", "splits-not-object",
-        "no-train"])
+        "no-train", "out-of-bounds", "overlap", "unknown-name"])
 def test_train_on_malformed_sidecar_splits_exits_one(tmp_path, capsys, splits):
     data_dir = tmp_path / "data"
     cfg_path = tmp_path / "gen.json"
@@ -199,6 +200,57 @@ def test_train_on_unreadable_sidecar_exits_one(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("error:") and str(meta_path) in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+def test_train_on_csv_with_a_non_finite_cell_exits_one(tmp_path, capsys, cell):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    csv_path = data_dir / "dataset.csv"
+    lines = csv_path.read_text().split("\n")
+    lines[2] = f"0.5,{cell},0.25"
+    csv_path.write_text("\n".join(lines))
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(csv_path)})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {csv_path}: non-finite cell at line 3\n"
+
+
+def test_pca_eval_on_points_whose_covariance_overflows_exits_two(tmp_path, capsys):
+    """Finite cells near the float limit overflow the PCA covariance: a
+    numerical failure, whatever the LAPACK build would make of it."""
+    data_dir = tmp_path / "data"
+    write_config(tmp_path / "gen.json")
+    main(["generate", "--config", str(tmp_path / "gen.json"), "--output", str(data_dir)])
+    csv_path = data_dir / "dataset.csv"
+    lines = csv_path.read_text().split("\n")
+    lines[1] = "1.7976931348623157e308,0.5,0.25"
+    lines[2] = "0.5,-1.7976931348623157e308,0.25"
+    csv_path.write_text("\n".join(lines))
+    eval_cfg = tmp_path / "eval.json"
+    write_config(eval_cfg, dataset={"path": str(csv_path)})
+    capsys.readouterr()
+    assert main(["eval", "--config", str(eval_cfg), "--output", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err == "numerical failure: PCA covariance is not finite\n"
+
+
+def test_train_on_csv_without_sidecar_warns_in_one_line(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    cfg_path = tmp_path / "gen.json"
+    write_config(cfg_path)
+    main(["generate", "--config", str(cfg_path), "--output", str(data_dir)])
+    (data_dir / "dataset.csv.meta.json").unlink()
+    train_cfg = tmp_path / "train.json"
+    write_config(train_cfg, dataset={"path": str(data_dir / "dataset.csv")})
+    capsys.readouterr()
+    assert main(["train", "--config", str(train_cfg),
+                 "--output", str(tmp_path / "run")]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: no sidecar"), err
 
 
 def test_train_on_csv_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -651,6 +703,29 @@ def test_parallel_sweep_with_a_diverging_stack_prints_no_warning(tmp_path):
     assert all("iteration 0" in r["error"] for r in rows[2:])
 
 
+def test_sweep_workers_warn_in_one_line_under_forkserver(tmp_path):
+    """Pool workers that do not fork from the CLI's process print a warning
+    in the CLI's one-line format too."""
+    data_dir = tmp_path / "data"
+    write_config(tmp_path / "gen.json")
+    main(["generate", "--config", str(tmp_path / "gen.json"), "--output", str(data_dir)])
+    (data_dir / "dataset.csv.meta.json").unlink()
+    base = write_config(tmp_path / "base.json", dataset={"path": str(data_dir / "dataset.csv")})
+    sweep = {"base": base, "grid": {"train.iterations": [2]}, "seeds": [0, 1]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(sweep))
+    code = ("import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
+            "from nestedflow.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, NESTEDFLOW_THREADS="2",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, "sweep", "--config", str(cfg_path),
+                           "--output", str(tmp_path / "sweep")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: no sidecar") for line in lines), lines
+
+
 def unstable_qr_config(path, lr, seed=1):
     """A 3-D qr run whose learning rate breaks the flow within 30 steps."""
     return write_config(path,
@@ -917,7 +992,7 @@ def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
     sizes = []
 
     class RecordingPool:  # runs the children in this process
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
             assert experiment.build_identifier.cache_info().currsize == 1
             sizes.append(max_workers)
 

@@ -3,7 +3,8 @@
 Each example damages one input of a tiny run (the config, a checkpoint, the
 data CSV or its sidecar) and calls ``cli.main`` in-process.  Whatever the
 damage, the exit code is 0, 1 or 2, and a failure prints exactly one line
-on stderr, with no traceback.  Damage is random bytes, a truncated or
+on stderr, with no traceback, and an input error from a damaged CSV or
+sidecar names that file.  Damage is random bytes, a truncated or
 byte-flipped valid document, deep nesting, or one JSON value replaced by a
 number too large, non-finite, integral-but-float, or of the wrong type.
 Numbers stay out of the range where a valid size would make a run long.
@@ -157,3 +158,7 @@ def test_cli_exit_contract_under_damaged_inputs(valid_files, data):
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n"), text[:500]
         assert "Traceback" not in text
+    if code == 1 and target in ("csv", "sidecar"):
+        # a damaged CSV may also show in its sidecar's splits, as when rows are cut
+        named = {"csv": "dataset.csv", "sidecar": "dataset.csv.meta.json"}[target]
+        assert str(tmp / named) in text, text[:500]

@@ -17,6 +17,7 @@ from nestedflow.datasets import (
     save_dataset,
     write_csv,
 )
+from nestedflow.linalg import random_rotation
 from nestedflow.pca import pca_fit, pca_mse
 
 
@@ -273,3 +274,157 @@ def test_writer_raises_no_numpy_warning(tmp_path):
         warnings.simplefilter("error")
         save_dataset(Dataset(points=values.reshape(-1, 1)), tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == per_value_bytes(values.reshape(-1, 1))
+
+
+def reference_load_points(path):
+    """The loader's per-line loop as it was before it named non-finite cells:
+    the points and each row's line number, or the error it raised; the
+    finite check is the one ``Dataset`` made."""
+    rows, linenos = [], []
+    width = None
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno} is not UTF-8 ({e.reason})") from None
+            if not line:
+                continue
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno} has {len(cells)} columns, expected {width}")
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                raise DatasetFormatError(
+                    f"{path}: non-numeric cell at line {lineno}") from None
+            linenos.append(lineno)
+    if not rows:
+        raise DatasetFormatError(f"{path}: no data rows")
+    return np.array(rows), linenos
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.one_of(
+    FINITE.map(lambda v: "%.17g" % v), FINITE.map(repr),
+    st.sampled_from([" 2 ", "1_0", "Infinity", "-inf", "nan", "1e400", "١٢", "-0", "+.5",
+                     "\t3\x0c", "", "oops", "1__0", "0x10", "1 2", " ", "7 8"]))
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", " \n", " \n"])
+BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV bytes that are mostly one width of numbers, with blank and padded
+    lines, other line endings, and now and then a ragged row, a bad cell or
+    bytes that are not UTF-8."""
+    width = draw(st.integers(1, 4))
+    out = b""
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged", "utf8"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\r", "\x0c"]))
+        else:
+            n = width if kind != "ragged" else draw(st.integers(1, 5))
+            cells = draw(st.lists(CELLS, min_size=n, max_size=n))
+            line = draw(st.sampled_from(["", " "])) + ",".join(cells)
+        raw = (line + draw(LINE_ENDS)).encode()
+        if kind == "utf8":
+            at = draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw(BAD_UTF8) + raw[at:]
+        out += raw
+    return out[:-1] if draw(st.booleans()) else out
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_bytes())
+def test_loader_matches_the_per_line_reference(tmp_path, raw):
+    """Same points bit for bit, or the same error text; a non-finite cell,
+    which ``Dataset`` rejected without a file or line, names both."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    try:
+        want, linenos = reference_load_points(path)
+    except DatasetFormatError as e:
+        with pytest.raises(DatasetFormatError) as got:
+            load_dataset(path)
+        assert str(got.value) == str(e)
+        return
+    finite = np.isfinite(want).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no sidecar
+        if not finite.all():
+            with pytest.raises(DatasetFormatError) as got:
+                load_dataset(path)
+            line = linenos[np.argmin(finite)]
+            assert str(got.value) == f"{path}: non-finite cell at line {line}"
+            return
+        got = load_dataset(path).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_synthetic_gaussian(n_train, n_test, seed):
+    """gen_synthetic_gaussian before the generators shared one core."""
+    eigenvalues = np.array([1.0, 0.1, 0.01])
+    rng = np.random.default_rng(seed)
+    rotation = random_rotation(3, rng)
+    n = n_train + n_test
+    points = (rng.standard_normal((n, 3)) * np.sqrt(eigenvalues)) @ rotation.T
+    return Dataset(
+        points=points,
+        split={"train": (0, n_train), "test": (n_train, n)},
+        provenance={
+            "generator": "synthetic-gaussian",
+            "seed": int(seed),
+            "parameters": {
+                "n_train": n_train,
+                "n_test": n_test,
+                "eigenvalues": eigenvalues.tolist(),
+                "rotation": rotation.tolist(),
+            },
+        },
+    )
+
+
+def reference_toy_hierarchical(dim, n, seed):
+    """gen_toy_hierarchical before the generators shared one core."""
+    eigenvalues = 0.6 ** np.arange(dim)
+    rng = np.random.default_rng(seed)
+    rotation = random_rotation(dim, rng)
+    points = (rng.standard_normal((n, dim)) * np.sqrt(eigenvalues)) @ rotation.T
+    n_train = (4 * n) // 5
+    return Dataset(
+        points=points,
+        split={"train": (0, n_train), "test": (n_train, n)},
+        provenance={
+            "generator": "toy-hierarchical",
+            "seed": int(seed),
+            "parameters": {
+                "dim": dim,
+                "n": n,
+                "spectrum_ratio": 0.6,
+                "rotation": rotation.tolist(),
+            },
+        },
+    )
+
+
+def saved_bytes(d, path):
+    save_dataset(d, path)
+    return path.read_bytes(), path.with_name(path.name + ".meta.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("generator, reference, sizes", [
+    (gen_synthetic_gaussian, reference_synthetic_gaussian, [(1, 1), (7, 3), (400, 90), (10_000, 10_000)]),
+    (gen_toy_hierarchical, reference_toy_hierarchical, [(4, 5), (8, 101), (16, 5_000), (64, 300)]),
+], ids=["synthetic-gaussian", "toy-hierarchical"])
+def test_generators_write_the_reference_bytes(tmp_path, generator, reference, sizes, seed):
+    for size in sizes:
+        assert saved_bytes(generator(*size, seed), tmp_path / "new.csv") == \
+            saved_bytes(reference(*size, seed), tmp_path / "ref.csv"), size
