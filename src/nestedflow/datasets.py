@@ -198,9 +198,7 @@ def save_dataset(d: Dataset, path):
         "parameters": d.provenance.get("parameters", {}),
         "splits": {name: list(rng) for name, rng in d.split.items()},
     }
-    with open(f"{path}{_SIDECAR}", "w") as f:
-        json.dump(meta, f, indent=1)
-        f.write("\n")
+    Path(f"{path}{_SIDECAR}").write_text(json.dumps(meta, indent=1) + "\n")
 
 
 def copy_dataset(src, dst):

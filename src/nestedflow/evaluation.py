@@ -184,9 +184,7 @@ def save_report(doc: dict, out_dir: Path, label: str) -> None:
     """Write a report document as ``report.json`` in ``out_dir``, plus
     ``mse_curve_<label>.csv`` for its primary curve and one CSV for each
     entry of its ``curves``, under that entry's label."""
-    with open(out_dir / "report.json", "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
+    (out_dir / "report.json").write_text(json.dumps(doc, indent=1) + "\n")
     results = doc["results"]
     save_curve_csv(out_dir / f"mse_curve_{label}.csv", results["mse_curve"])
     for name, entry in results.get("curves", {}).items():

@@ -16,7 +16,9 @@ every deterministic output byte for byte.
 them together with :func:`~nestedflow.optim.train_seeds` (which decides
 whether they share a seed stack), then evaluate and write each run.  A job
 makes and writes each distinct (dataset spec, data seed) once; its other
-runs share that dataset and copy its files.
+runs share that dataset and copy its files.  Only ``config``, ``datasets``
+and the standard library load with this module; each function imports the
+flow, training, evaluation and PCA modules it runs.
 """
 
 from __future__ import annotations
@@ -32,23 +34,19 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_model, save_model
 from .config import (SWEEP_SCHEMA, ConfigError, config_hash, resolve_config,
                      validate_config)
-from .coupling import (MultiScaleFlow, build_multiscale_flow,
-                       depth_forward_order, multiscale_depth_order)
 from .datasets import Dataset, copy_dataset, gen_synthetic_gaussian, \
     gen_toy_hierarchical, load_dataset, save_dataset
-from .evaluation import eval_split, make_run_report, report_to_dict, save_report
-from .flows import FlowModel, build_lu_flow, build_qr_flow
-from .nested_dropout import GeometricSchedule, NestedDropoutConfig, as_order, \
-    identity_order, reversed_order
-from .optim import TrainConfig, train_seeds
-from .pca import pca_fit, pca_mse
+
+if TYPE_CHECKING:
+    from .flows import FlowModel
+    from .optim import TrainConfig
 
 
 def derive_seeds(seed: int) -> dict:
@@ -72,39 +70,40 @@ def get_dataset(cfg: dict, data_seed: int) -> Dataset:
 
 
 def build_model(cfg: dict, dim: int, init_seed: int) -> FlowModel:
+    from . import coupling, flows
     spec = cfg["model"]
     rng = np.random.default_rng(init_seed)
     kind = spec["kind"]
     if kind == "qr-linear":
-        return build_qr_flow(dim, rng, spec.get("n_householder"),
-                             offset=spec.get("offset", False))
+        return flows.build_qr_flow(dim, rng, spec.get("n_householder"),
+                                   offset=spec.get("offset", False))
     if kind == "lu-linear":
-        return build_lu_flow(dim, rng, offset=spec.get("offset", False))
-    return build_multiscale_flow(dim, spec["levels"], spec["couplings_per_level"],
-                                 rng, spec["hidden_width"],
-                                 spec["log_scale_bound"])
+        return flows.build_lu_flow(dim, rng, offset=spec.get("offset", False))
+    return coupling.build_multiscale_flow(dim, spec["levels"], spec["couplings_per_level"],
+                                          rng, spec["hidden_width"], spec["log_scale_bound"])
 
 
 def resolve_order(name_or_list, model: FlowModel, eval_seed: int) -> np.ndarray:
     """Turn an order name (or explicit index list) into a permutation for
     this model."""
+    from . import coupling, nested_dropout
     k = model.dim
     if isinstance(name_or_list, str):
         if name_or_list == "identity":
-            return identity_order(k)
+            return nested_dropout.identity_order(k)
         if name_or_list == "reversed":
-            return reversed_order(k)
+            return nested_dropout.reversed_order(k)
         if name_or_list == "random":
             return np.random.default_rng(eval_seed).permutation(k).astype(np.int64)
         if name_or_list in ("depth-reversed", "depth-forward"):
-            if not isinstance(model, MultiScaleFlow):
+            if not isinstance(model, coupling.MultiScaleFlow):
                 raise ValueError(
                     f"order {name_or_list!r} needs a multi-scale model, "
                     f"got {model.transforms[0].kind if model.transforms else 'empty'}")
-            return multiscale_depth_order(model) if name_or_list == "depth-reversed" \
-                else depth_forward_order(model)
+            return coupling.multiscale_depth_order(model) \
+                if name_or_list == "depth-reversed" else coupling.depth_forward_order(model)
         raise ValueError(f"unknown order name {name_or_list!r}")
-    return as_order(name_or_list, k)
+    return nested_dropout.as_order(name_or_list, k)
 
 
 def value_label(value) -> str:
@@ -134,19 +133,20 @@ def train_order(cfg: dict):
 
 def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
     """TrainConfig plus the label of the drop order used for training."""
+    from . import nested_dropout, optim
     t = cfg["train"]
     nd_spec = cfg.get("nd")
     order = train_order(cfg)
     nd = None
     if nd_spec is not None:
-        nd = NestedDropoutConfig(
+        nd = nested_dropout.NestedDropoutConfig(
             lam=nd_spec["lambda"],
-            schedule=GeometricSchedule(p=nd_spec["p"], K=model.dim),
+            schedule=nested_dropout.GeometricSchedule(p=nd_spec["p"], K=model.dim),
             drop_order=resolve_order(order, model, derive_seeds(cfg["seed"])["eval"]),
         )
-    return TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
-                       lr_initial=t["lr_initial"],
-                       lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
+    return optim.TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
+                             lr_initial=t["lr_initial"],
+                             lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
 
 
 @functools.cache
@@ -167,13 +167,9 @@ def build_identifier() -> dict:
 
 def _prepare_run_dir(cfg: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w") as f:
-        json.dump(cfg, f, indent=1, sort_keys=True)
-        f.write("\n")
-    with open(out_dir / "run.json", "w") as f:
-        json.dump({"seed": cfg["seed"], "config_hash": config_hash(cfg),
-                   "build": build_identifier()}, f, indent=1)
-        f.write("\n")
+    (out_dir / "config.json").write_text(json.dumps(cfg, indent=1, sort_keys=True) + "\n")
+    run = {"seed": cfg["seed"], "config_hash": config_hash(cfg), "build": build_identifier()}
+    (out_dir / "run.json").write_text(json.dumps(run, indent=1) + "\n")
 
 
 def default_output_dir(cfg: dict) -> Path:
@@ -253,8 +249,9 @@ def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
 def _finish_train(run: _TrainRun, result, threads: int):
     """What a training run does after its last step: evaluation on
     ``threads`` threads, then the checkpoint, trace and report."""
+    from . import checkpoint, evaluation
     started = time.perf_counter()
-    report = make_run_report(
+    report = evaluation.make_run_report(
         run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
         seed=run.cfg["seed"],
         notes={
@@ -273,9 +270,9 @@ def _finish_train(run: _TrainRun, result, threads: int):
         "total_seconds": result.seconds + eval_seconds,
     })
 
-    save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
+    checkpoint.save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
     result.trace.save_csv(run.out_dir / "trace.csv")
-    save_report(report_to_dict(report), run.out_dir, run.label)
+    evaluation.save_report(evaluation.report_to_dict(report), run.out_dir, run.label)
     return report, run.out_dir
 
 
@@ -284,6 +281,7 @@ def _train_runs(cfgs, out_dirs, threads: int) -> list:
     trained together by :func:`~nestedflow.optim.train_seeds` and each
     evaluated on ``threads`` threads; returns each run's (RunReport, run
     directory), or the exception that ends it."""
+    from .optim import train_seeds
     outcomes, runs, datasets = [None] * len(cfgs), {}, {}
     for i, (cfg, out_dir) in enumerate(zip(cfgs, out_dirs)):
         try:
@@ -332,34 +330,36 @@ def run_eval(cfg: dict, checkpoint_path=None, out_dir=None, threads: int = 1):
     if checkpoint_path is None:
         return _run_pca_oracle(cfg, data, out_dir)
 
-    model = load_model(checkpoint_path)
+    from . import checkpoint, evaluation
+    model = checkpoint.load_model(checkpoint_path)
     if model.dim != data.dim:
         raise ValueError(
             f"checkpoint dimension {model.dim} does not match dataset "
             f"dimension {data.dim}")
     orders = order_table(cfg.get("eval", {}).get("orders", ["identity"]), model,
                          seeds["eval"])
-    report = make_run_report(
+    report = evaluation.make_run_report(
         model, data, orders, config_hash=config_hash(cfg), seed=cfg["seed"],
         notes={"mode": "eval", "checkpoint": str(checkpoint_path),
                "dataset": dataset_notes(data)},
         threads=threads,
     )
-    save_report(report_to_dict(report), out_dir, next(iter(orders)))
+    evaluation.save_report(evaluation.report_to_dict(report), out_dir, next(iter(orders)))
     return report, out_dir
 
 
 def _run_pca_oracle(cfg: dict, data: Dataset, out_dir: Path):
     """Baseline evaluation without a flow: fit PCA on the train split and
     report its reconstruction curve on the eval split."""
-    fit = pca_fit(data.get_split("train"))
-    split = eval_split(data)
+    from . import evaluation, pca
+    fit = pca.pca_fit(data.get_split("train"))
+    split = evaluation.eval_split(data)
     x = data.get_split(split)
     doc = {
         "results": {
             "mode": "pca-oracle",
             "split": split,
-            "mse_curve": [pca_mse(fit, x, k) for k in range(1, data.dim + 1)],
+            "mse_curve": [pca.pca_mse(fit, x, k) for k in range(1, data.dim + 1)],
             "eigenvalues": fit.eigenvalues.tolist(),
             "config_hash": config_hash(cfg),
             "seed": cfg["seed"],
@@ -367,7 +367,7 @@ def _run_pca_oracle(cfg: dict, data: Dataset, out_dir: Path):
         },
         "timing": {},
     }
-    save_report(doc, out_dir, "pca")
+    evaluation.save_report(doc, out_dir, "pca")
     return doc, out_dir
 
 
@@ -381,10 +381,12 @@ def apply_override(cfg: dict, dotted: str, value) -> None:
 
 
 def worker_count() -> int:
-    """CPUs one command may keep busy: ``NESTEDFLOW_THREADS``, default 1."""
+    """CPUs one command may keep busy: ``NESTEDFLOW_THREADS``, default 1, at
+    most the CPUs this process may run on."""
     raw = os.environ.get("NESTEDFLOW_THREADS", "1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), cpus or 1)
     except ValueError:
         raise ValueError(f"NESTEDFLOW_THREADS must be an integer, got {raw!r}")
 
@@ -438,8 +440,8 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     build_identifier()  # resolved once here, so forked workers inherit it
 
     budget = worker_count()
-    workers = min(budget, len(children), os.cpu_count() or 1)
-    run_job = functools.partial(_run_sweep_job, threads=max(1, budget // workers))
+    workers = min(budget, len(children))
+    run_job = functools.partial(_run_sweep_job, threads=budget // workers)
     groups = {}
     for i, (_, _, cfg, _) in enumerate(children):
         groups.setdefault(_job_key(cfg), []).append(i)
@@ -451,8 +453,9 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     payloads = [[children[i][2:] for i in job] for job in jobs]
     if workers > 1:
         # Imported here so that commands which start no pool do not import
-        # multiprocessing.
+        # multiprocessing, and forked workers inherit the run modules.
         from concurrent.futures import ProcessPoolExecutor
+        from . import checkpoint, evaluation, optim  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers, initializer=one_line_warnings) as pool:
             results = list(pool.map(run_job, payloads))
     else:

@@ -669,6 +669,31 @@ def test_cold_cli_import_loads_only_numpy_and_the_standard_library():
     assert packages - set(sys.stdlib_module_names) == {"nestedflow", "numpy"}
 
 
+def test_a_cold_command_loads_only_the_modules_it_runs(tmp_path):
+    """``generate`` loads the config and data modules and no flow, training,
+    evaluation or thread-pool code; the PCA ``eval`` loads no training,
+    coupling or checkpoint code."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    code = ("import sys; from nestedflow.cli import main; code = main(sys.argv[1:]); "
+            "print(*sorted(sys.modules)); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    loaded = {}
+    for command in ("generate", "eval"):
+        proc = subprocess.run([sys.executable, "-c", code, command, "--config", str(cfg_path),
+                               "--output", str(tmp_path / command)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded[command] = set(proc.stdout.splitlines()[-1].split())
+    assert {m for m in loaded["generate"] if m.startswith("nestedflow")} == {
+        "nestedflow", "nestedflow.cli", "nestedflow.config", "nestedflow.experiment",
+        "nestedflow.datasets", "nestedflow.linalg"}
+    assert "concurrent.futures" not in loaded["generate"]
+    assert not loaded["eval"] & {"nestedflow.optim", "nestedflow.coupling",
+                                 "nestedflow.checkpoint"}
+    assert "nestedflow.pca" in loaded["eval"]
+
+
 def test_overflowing_update_exits_two_with_one_line(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path,
@@ -943,57 +968,67 @@ def test_sweep_worker_env(tmp_path, monkeypatch):
     assert len(lines) == 3
 
 
+def patch_cpus(monkeypatch, n):
+    """Make this process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
 def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
     """A sweep run by two worker processes, with one or two evaluation
     threads each, writes every child's files and the aggregate table byte
-    for byte as a serial sweep does."""
+    for byte as a serial sweep does.  Each worker evaluates on its share of
+    ``NESTEDFLOW_THREADS``, capped at the CPUs: 4 threads on 2 CPUs are 2."""
     base = write_config(tmp_path / "base.json",
                         train={"iterations": 60, "batch_size": 16,
                                "lr_initial": 0.01},
                         nd={"lambda": 0.0, "p": 0.33})
-    sweep = {"base": base, "seeds": [0, 1],
-             "grid": {"model.kind": ["qr-linear", "lu-linear"],
-                      "nd.lambda": [0.0, 20.0]}}
-    cfg_path = tmp_path / "sweep.json"
-    cfg_path.write_text(json.dumps(sweep))
-    outs = {}
-    for threads in ("1", "2", "4"):
-        monkeypatch.setenv("NESTEDFLOW_THREADS", threads)
-        outs[threads] = tmp_path / f"threads{threads}"
-        assert main(["sweep", "--config", str(cfg_path),
-                     "--output", str(outs[threads])]) == 0
-    serial = outs["1"]
-    children = sorted(p.name for p in serial.iterdir() if p.is_dir())
-    assert len(children) == 8
-    for threads, parallel in outs.items():
-        assert children == sorted(p.name for p in parallel.iterdir() if p.is_dir())
-        # each worker evaluates on its share of the threads
-        share = int(threads) // min(int(threads), len(children), os.cpu_count() or 1)
-        for name in children:
-            for file in ("checkpoint.json", "trace.csv"):
-                assert (serial / name / file).read_bytes() == \
-                    (parallel / name / file).read_bytes()
-            assert deterministic_report_bytes(serial / name / "report.json") == \
-                deterministic_report_bytes(parallel / name / "report.json")
-            report = json.loads((parallel / name / "report.json").read_text())
-            assert report["timing"]["eval_threads"] == share
-        aggregate = [(out / "aggregate.csv").read_text().replace(str(out), "")
-                     for out in (serial, parallel)]
-        assert aggregate[0] == aggregate[1]
-    assert aggregate[0].count(",ok,") == 8
+    # runs: (NESTEDFLOW_THREADS, CPUs, evaluation threads per worker)
+    for seeds, lambdas, runs in (([0, 1], [0.0, 20.0], [("2", 2, 1), ("4", 2, 1)]),
+                                 ([0], [0.0], [("4", 4, 2), ("4", 2, 1)])):
+        sweep = {"base": base, "seeds": seeds,
+                 "grid": {"model.kind": ["qr-linear", "lu-linear"], "nd.lambda": lambdas}}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(sweep))
+        outs = []
+        for threads, cpus, share in [("1", 2, 1), *runs]:
+            monkeypatch.setenv("NESTEDFLOW_THREADS", threads)
+            patch_cpus(monkeypatch, cpus)
+            out = tmp_path / f"{len(seeds)}seeds_threads{threads}_cpus{cpus}"
+            assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 0
+            outs.append((out, share))
+        serial = outs[0][0]
+        children = sorted(p.name for p in serial.iterdir() if p.is_dir())
+        assert len(children) == 2 * len(seeds) * len(lambdas)  # 8, then 2
+        for parallel, share in outs:
+            assert children == sorted(p.name for p in parallel.iterdir() if p.is_dir())
+            for name in children:
+                for file in ("checkpoint.json", "trace.csv"):
+                    assert (serial / name / file).read_bytes() == \
+                        (parallel / name / file).read_bytes()
+                assert deterministic_report_bytes(serial / name / "report.json") == \
+                    deterministic_report_bytes(parallel / name / "report.json")
+                report = json.loads((parallel / name / "report.json").read_text())
+                assert report["timing"]["eval_threads"] == share
+            aggregate = [(out / "aggregate.csv").read_text().replace(str(out), "")
+                         for out in (serial, parallel)]
+            assert aggregate[0] == aggregate[1]
+        assert aggregate[0].count(",ok,") == len(children)
 
 
 def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
     """The pool never has more workers than children (or CPUs); a
     one-child sweep runs serially whatever NESTEDFLOW_THREADS says.  The
-    build identifier is resolved before the pool starts, so forked workers
-    inherit it and none of them runs git again."""
+    build identifier and the run modules are loaded before the pool starts,
+    so forked workers inherit them: none runs git again or compiles a module."""
     import concurrent.futures
     sizes = []
 
     class RecordingPool:  # runs the children in this process
         def __init__(self, max_workers, initializer):
             assert experiment.build_identifier.cache_info().currsize == 1
+            assert {"nestedflow.optim", "nestedflow.evaluation",
+                    "nestedflow.checkpoint"} <= set(sys.modules)
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -1007,6 +1042,7 @@ def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("NESTEDFLOW_THREADS", "5")
+    patch_cpus(monkeypatch, 4)
     base = write_config(tmp_path / "base.json")
     for n_children in (1, 2):
         sizes.clear()
@@ -1017,12 +1053,12 @@ def test_sweep_pool_is_bounded_by_children(tmp_path, monkeypatch):
         out = tmp_path / f"sweep{n_children}"
         assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 0
         assert (out / "aggregate.csv").read_text().count(",ok,") == n_children
-        workers = min(n_children, os.cpu_count() or 1)
-        assert sizes == ([workers] if workers > 1 else [])
+        assert sizes == ([2] if n_children == 2 else [])
 
 
 def test_invalid_worker_env(monkeypatch):
     from nestedflow.experiment import worker_count
+    patch_cpus(monkeypatch, 8)
     monkeypatch.setenv("NESTEDFLOW_THREADS", "many")
     with pytest.raises(ValueError, match="NESTEDFLOW_THREADS"):
         worker_count()
@@ -1030,6 +1066,22 @@ def test_invalid_worker_env(monkeypatch):
     assert worker_count() == 4
     monkeypatch.delenv("NESTEDFLOW_THREADS")
     assert worker_count() == 1
+
+
+def test_threads_are_capped_at_the_cpus(tmp_path, monkeypatch):
+    """NESTEDFLOW_THREADS above the CPUs this process may run on does not
+    oversubscribe a solo command: ``train`` evaluates on one thread per CPU."""
+    from nestedflow.experiment import worker_count
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    for threads, cpus in (("3", 1), ("4", 2)):
+        monkeypatch.setenv("NESTEDFLOW_THREADS", threads)
+        patch_cpus(monkeypatch, cpus)
+        assert worker_count() == cpus
+        out = tmp_path / f"threads{threads}"
+        assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["timing"]["eval_threads"] == cpus
 
 
 def test_default_output_dir_derives_from_hash(tmp_path, monkeypatch):
