@@ -12,7 +12,8 @@ The schemas are JSON Schema (draft 2020-12) dicts, checked by a walker
 that knows the keywords they use: ``type``, ``const``, ``enum``,
 ``oneOf``, ``required``, ``properties``, ``additionalProperties: false``,
 ``patternProperties``, ``minimum``, ``maximum``, ``exclusiveMinimum``,
-``items``, ``minItems`` and ``minProperties`` (``$schema`` is ignored).
+``multipleOf`` (of integers), ``items``, ``minItems`` and
+``minProperties`` (``$schema`` is ignored).
 It accepts what a draft 2020-12 validator accepts, with ``integer``
 meaning a JSON integer.  The branches of a ``oneOf`` differ in ``type`` or
 in the ``const`` of one property (``generator``, ``kind``), which picks
@@ -55,7 +56,7 @@ _DATASET = {
             "required": ["generator", "dim", "n"],
             "properties": {
                 "generator": {"const": "toy-hierarchical"},
-                "dim": {"type": "integer", "minimum": 4, "maximum": 64},
+                "dim": {"type": "integer", "minimum": 4, "maximum": 64, "multipleOf": 4},
                 "n": {"type": "integer", "minimum": 5},
             },
         },
@@ -208,7 +209,8 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
           "number": (int, float), "integer": int}
 _BOUNDS = (("minimum", operator.lt, "is less than the minimum of"),
            ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
-           ("maximum", operator.gt, "is greater than the maximum of"))
+           ("maximum", operator.gt, "is greater than the maximum of"),
+           ("multipleOf", operator.mod, "is not a multiple of"))
 
 
 def _is(value, kind: str) -> bool:

@@ -8,9 +8,10 @@ pass, and one inverse pass per distinct set of kept latents (keep-set)
 across all the orders' curves.  The first order is primary; the others
 become named curves.  The inverse passes may share a thread pool; they
 run in row chunks that do not depend on its size, so no result does
-either.  A RunReport bundles the metrics with the drop order, config
-hash, and seed; wall-clock timings ride along in a separate section so that
-deterministic content can be compared byte for byte across reruns.
+either.  A RunReport holds a report document field for field: the
+metrics with the drop order, config hash, seed and notes, then the
+evaluation's own timing, kept in a separate section so that deterministic
+content can be compared byte for byte across reruns.
 ``save_report`` is the one writer of a report document: ``report.json``
 plus one ``mse_curve_<label>.csv`` per curve it holds.
 """
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,24 +103,25 @@ def mse_curve(m: FlowModel, x: np.ndarray, order) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Metrics of one evaluated run.
+    """Metrics of one evaluated run: the ``results`` keys of ``report.json``
+    in document order, then its ``timing``.
 
     ``mse_curve`` and ``drop_order`` describe the primary order; ``curves``
-    maps the label of each other order to its order and curve.  ``wall_clock``
-    maps phase names to seconds and is excluded from deterministic
-    comparison.
+    maps the label of each other order to its order and curve.  ``timing``
+    maps phase names to seconds, plus ``eval_threads``, and is excluded from
+    deterministic comparison.
     """
 
+    split: str
     test_ll_nats: float
     test_bpd: float
-    mse_curve: np.ndarray
     drop_order: np.ndarray
+    mse_curve: np.ndarray
+    curves: dict
     config_hash: str
     seed: int | None
-    split: str = "test"
-    curves: dict = field(default_factory=dict)
-    wall_clock: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+    notes: dict
+    timing: dict
 
     def __post_init__(self):
         if not (np.isfinite(self.test_ll_nats) and np.isfinite(self.test_bpd)):
@@ -130,54 +133,43 @@ class RunReport:
         if curve[-1] > 1e-8:
             raise FlowEvalError(f"full-rank reconstruction MSE {curve[-1]:g} exceeds 1e-8")
 
+    def document(self) -> dict:
+        """JSON form: every field but ``timing`` under "results", arrays as
+        lists, and ``timing`` under "timing"."""
+        results = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timing"}
+        return {"results": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                            for k, v in results.items()},
+                "timing": self.timing}
+
 
 def eval_split(data) -> str:
     """The split a run is evaluated on: test when it has rows, else train."""
     return "test" if data.has_split("test") else "train"
 
 
+def eval_timing(started: float, threads: int) -> dict:
+    """A report's ``timing``: the seconds since ``started`` (a
+    ``time.perf_counter`` reading) and the threads it evaluated on."""
+    return {"eval_seconds": time.perf_counter() - started, "eval_threads": threads}
+
+
 def make_run_report(m: FlowModel, data, orders: dict, config_hash: str = "",
                     seed: int | None = None, notes: dict | None = None,
                     threads: int = 1) -> RunReport:
     """Evaluate a model on its eval split under a table of drop orders,
-    label -> order, sharing one forward pass, on ``threads`` threads.  The
-    first entry is the primary order; the others become ``curves``, keyed
-    by label.  A failed check raises :class:`FlowEvalError`."""
+    label -> order, sharing one forward pass, on ``threads`` threads, and
+    time it.  The first entry is the primary order; the others become
+    ``curves``, keyed by label.  A failed check raises
+    :class:`FlowEvalError`."""
+    started = time.perf_counter()
     split = eval_split(data)
     orders = {label: as_order(o, m.dim) for label, o in orders.items()}
     ll, curves = _evaluate(m, data.get_split(split), list(orders.values()), threads)
     (_, primary), *extra = orders.items()
-    return RunReport(
-        test_ll_nats=ll,
-        test_bpd=bits_per_dim(ll, m.dim),
-        mse_curve=curves[0],
-        drop_order=primary,
-        config_hash=config_hash,
-        seed=seed,
-        split=split,
-        curves={label: {"order": o.tolist(), "mse": c.tolist()}
-                for (label, o), c in zip(extra, curves[1:])},
-        notes=dict(notes or {}),
-    )
-
-
-def report_to_dict(r: RunReport) -> dict:
-    """JSON form: deterministic content under "results", timings under
-    "timing"."""
-    return {
-        "results": {
-            "split": r.split,
-            "test_ll_nats": r.test_ll_nats,
-            "test_bpd": r.test_bpd,
-            "drop_order": r.drop_order.tolist(),
-            "mse_curve": r.mse_curve.tolist(),
-            "curves": r.curves,
-            "config_hash": r.config_hash,
-            "seed": r.seed,
-            "notes": r.notes,
-        },
-        "timing": r.wall_clock,
-    }
+    named = {label: {"order": o.tolist(), "mse": c.tolist()}
+             for (label, o), c in zip(extra, curves[1:])}
+    return RunReport(split, ll, bits_per_dim(ll, m.dim), primary, curves[0], named,
+                     config_hash, seed, dict(notes or {}), eval_timing(started, threads))
 
 
 def save_report(doc: dict, out_dir: Path, label: str) -> None:

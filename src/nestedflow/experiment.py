@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .config import (SWEEP_SCHEMA, ConfigError, config_hash, resolve_config,
+from .config import (SWEEP_SCHEMA, ConfigError, _where, config_hash, resolve_config,
                      validate_config)
 from .datasets import Dataset, copy_dataset, gen_synthetic_gaussian, \
     gen_toy_hierarchical, load_dataset, save_dataset
@@ -248,9 +248,9 @@ def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
 
 def _finish_train(run: _TrainRun, result, threads: int):
     """What a training run does after its last step: evaluation on
-    ``threads`` threads, then the checkpoint, trace and report."""
+    ``threads`` threads, then the checkpoint, trace and report, whose
+    ``timing`` adds the training seconds to the evaluation's."""
     from . import checkpoint, evaluation
-    started = time.perf_counter()
     report = evaluation.make_run_report(
         run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
         seed=run.cfg["seed"],
@@ -261,18 +261,16 @@ def _finish_train(run: _TrainRun, result, threads: int):
         },
         threads=threads,
     )
-    eval_seconds = time.perf_counter() - started
-    report = replace(report, wall_clock={
+    report = replace(report, timing={
         "train_seconds": result.seconds,
         "train_seconds_per_step": result.seconds_per_step,
-        "eval_seconds": eval_seconds,
-        "eval_threads": threads,
-        "total_seconds": result.seconds + eval_seconds,
+        **report.timing,
+        "total_seconds": result.seconds + report.timing["eval_seconds"],
     })
 
     checkpoint.save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
     result.trace.save_csv(run.out_dir / "trace.csv")
-    evaluation.save_report(evaluation.report_to_dict(report), run.out_dir, run.label)
+    evaluation.save_report(report.document(), run.out_dir, run.label)
     return report, run.out_dir
 
 
@@ -344,7 +342,7 @@ def run_eval(cfg: dict, checkpoint_path=None, out_dir=None, threads: int = 1):
                "dataset": dataset_notes(data)},
         threads=threads,
     )
-    evaluation.save_report(evaluation.report_to_dict(report), out_dir, next(iter(orders)))
+    evaluation.save_report(report.document(), out_dir, next(iter(orders)))
     return report, out_dir
 
 
@@ -352,6 +350,7 @@ def _run_pca_oracle(cfg: dict, data: Dataset, out_dir: Path):
     """Baseline evaluation without a flow: fit PCA on the train split and
     report its reconstruction curve on the eval split."""
     from . import evaluation, pca
+    started = time.perf_counter()
     fit = pca.pca_fit(data.get_split("train"))
     split = evaluation.eval_split(data)
     x = data.get_split(split)
@@ -365,19 +364,23 @@ def _run_pca_oracle(cfg: dict, data: Dataset, out_dir: Path):
             "seed": cfg["seed"],
             "dataset": dataset_notes(data),
         },
-        "timing": {},
+        "timing": evaluation.eval_timing(started, 1),
     }
     evaluation.save_report(doc, out_dir, "pca")
     return doc, out_dir
 
 
 def apply_override(cfg: dict, dotted: str, value) -> None:
-    """Set config key "a.b.c" to value, creating intermediate objects."""
+    """Set config key "a.b.c" to value, creating intermediate objects; a
+    key through a value that is not an object is a ConfigError."""
     node = cfg
-    parts = dotted.split(".")
-    for p in parts[:-1]:
+    *heads, last = dotted.split(".")
+    for i, p in enumerate(heads):
         node = node.setdefault(p, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ConfigError(f"{_where(('grid', dotted))}: {_where(heads[:i + 1])} "
+                              "is not an object")
+    node[last] = value
 
 
 def worker_count() -> int:
@@ -500,8 +503,9 @@ def _job_key(cfg: dict) -> str:
 
 
 def one_line_warnings():
-    """Print each warning as one line: in the CLI and in each sweep pool worker."""
-    warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+    """Print each warning as one line: in the CLI and in each sweep pool worker,
+    with one write, so that workers' lines do not interleave."""
+    warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
 
 
 def _run_sweep_job(payloads, threads: int):

@@ -121,6 +121,8 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert report["results"]["seed"] == 0
     assert report["results"]["notes"]["mode"] == "nested-dropout"
     assert len(report["results"]["mse_curve"]) == 3
+    assert list(report["timing"]) == ["train_seconds", "train_seconds_per_step",
+                                      "eval_seconds", "eval_threads", "total_seconds"]
     run_meta = json.loads((out / "run.json").read_text())
     assert run_meta["seed"] == 0
     assert run_meta["build"]["package"] == "nestedflow"
@@ -286,6 +288,8 @@ def test_eval_pca_baseline(tmp_path, capsys):
     fit = pca_fit(data.get_split("train"))
     want = [pca_mse(fit, data.get_split("test"), k) for k in (1, 2, 3)]
     assert_allclose(doc["results"]["mse_curve"], want, atol=1e-12)
+    assert list(doc["timing"]) == ["eval_seconds", "eval_threads"]
+    assert doc["timing"]["eval_seconds"] > 0 and doc["timing"]["eval_threads"] == 1
 
 
 def test_eval_checkpoint(tmp_path, capsys):
@@ -302,6 +306,9 @@ def test_eval_checkpoint(tmp_path, capsys):
     reevaluated = json.loads((out / "report.json").read_text())
     assert reevaluated["results"]["test_ll_nats"] == \
         pytest.approx(trained["results"]["test_ll_nats"], abs=1e-12)
+    assert list(reevaluated["timing"]) == ["eval_seconds", "eval_threads"]
+    assert reevaluated["timing"]["eval_seconds"] > 0
+    assert reevaluated["timing"]["eval_threads"] == experiment.worker_count()
 
 
 INDEX_ORDERS = {"nd": {"lambda": 1.0, "p": 0.5, "order": [0, 2, 1]},
@@ -751,6 +758,25 @@ def test_sweep_workers_warn_in_one_line_under_forkserver(tmp_path):
     assert lines and all(line.startswith("warning: no sidecar") for line in lines), lines
 
 
+def test_a_warning_is_one_write(monkeypatch):
+    """Each warning line reaches stderr in one write, so that the lines of
+    concurrent pool workers sharing the stream cannot interleave."""
+    import warnings
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(warnings, "showwarning", warnings.showwarning)
+    monkeypatch.setattr(sys, "stderr", Recorder())
+    experiment.one_line_warnings()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.warn("no sidecar")
+    assert writes == ["warning: no sidecar\n"]
+
+
 def unstable_qr_config(path, lr, seed=1):
     """A 3-D qr run whose learning rate breaks the flow within 30 steps."""
     return write_config(path,
@@ -887,25 +913,45 @@ def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, h
     assert not out.exists()
 
 
-@pytest.mark.parametrize("base_nd, grid, message", [
-    (None, {"nd.lambda": [0, 1]},
+@pytest.mark.parametrize("base_edit, grid, message", [
+    ({}, {"nd.lambda": [0, 1]},
      "sweep child {'nd.lambda': 0} seed 0: config.nd: 'p' is a required property"),
-    ({"lambda": 0.0, "p": 0.5}, {"train.batch_size": [8, 2.0]},
+    ({"nd": {"lambda": 0.0, "p": 0.5}}, {"train.batch_size": [8, 2.0]},
      "sweep child {'train.batch_size': 2.0} seed 0: config.train.batch_size: "
      "2.0 is not of type 'integer'"),
-], ids=["nd-without-p", "float-batch-size"])
-def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_nd,
+    ({"dataset": {"generator": "toy-hierarchical", "dim": 8, "n": 30}},
+     {"dataset.dim": [6, 8]},
+     "sweep child {'dataset.dim': 6} seed 0: config.dataset.dim: "
+     "6 is not a multiple of 4"),
+], ids=["nd-without-p", "float-batch-size", "toy-dim-not-a-multiple-of-4"])
+def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_edit,
                                                         grid, message):
     """Every child's config is validated before the sweep directory exists:
     one line naming the grid point, the seed and the field, and exit 1."""
-    base = write_config(tmp_path / "base.json")
-    if base_nd is not None:
-        base["nd"] = base_nd
+    base = {**write_config(tmp_path / "base.json"), **base_edit}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"base": base, "grid": grid, "seeds": [0, 1]}))
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, through", [
+    ("train.iterations.x", "config.train.iterations"),
+    ("dataset.generator.x", "config.dataset.generator"),
+    ("eval.orders.x.y", "config.eval.orders"),
+])
+def test_sweep_rejects_a_grid_key_through_a_value(tmp_path, capsys, key, through):
+    """A grid key that passes through a number, a string or a list cannot
+    be set: one line naming the grid key, exit 1, and no sweep directory."""
+    base = write_config(tmp_path / "base.json", eval={"orders": ["identity"]})
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"base": base, "grid": {key: [1]}}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: config.grid['{key}']: {through} is not an object\n"
     assert not out.exists()
 
 
@@ -1070,7 +1116,8 @@ def test_invalid_worker_env(monkeypatch):
 
 def test_threads_are_capped_at_the_cpus(tmp_path, monkeypatch):
     """NESTEDFLOW_THREADS above the CPUs this process may run on does not
-    oversubscribe a solo command: ``train`` evaluates on one thread per CPU."""
+    oversubscribe a solo command: ``train`` and ``eval --checkpoint``
+    evaluate on one thread per CPU, and their reports say so."""
     from nestedflow.experiment import worker_count
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -1080,8 +1127,12 @@ def test_threads_are_capped_at_the_cpus(tmp_path, monkeypatch):
         assert worker_count() == cpus
         out = tmp_path / f"threads{threads}"
         assert main(["train", "--config", str(cfg_path), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["timing"]["eval_threads"] == cpus
+        evaluated = tmp_path / f"eval{threads}"
+        assert main(["eval", "--config", str(cfg_path), "--output", str(evaluated),
+                     "--checkpoint", str(out / "checkpoint.json")]) == 0
+        for run in (out, evaluated):
+            report = json.loads((run / "report.json").read_text())
+            assert report["timing"]["eval_threads"] == cpus
 
 
 def test_default_output_dir_derives_from_hash(tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ sidecar names that file.  Damage is random bytes, a truncated or
 byte-flipped valid document, deep nesting, or one JSON value replaced by a
 number too large, non-finite, integral-but-float, or of the wrong type.
 Numbers stay out of the range where a valid size would make a run long.
+Sweep examples grid over a key that is a dotted path through a base config
+plus one more segment, which may pass through a number, a string or a list.
 """
 
 import contextlib
@@ -162,3 +164,32 @@ def test_cli_exit_contract_under_damaged_inputs(valid_files, data):
         # a damaged CSV may also show in its sidecar's splits, as when rows are cut
         named = {"csv": "dataset.csv", "sidecar": "dataset.csv.meta.json"}[target]
         assert str(tmp / named) in text, text[:500]
+
+
+def grid_keys(doc):
+    """Dotted paths through the objects of a config, the root included."""
+    return [".".join(path) for path in json_paths(doc)
+            if all(isinstance(key, str) for key in path)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(base=st.sampled_from([CONFIG, COUPLING]), data=st.data())
+def test_sweep_exit_contract_under_grid_keys_through_the_base(base, data):
+    path = data.draw(st.sampled_from(grid_keys(base)))
+    extra = data.draw(st.sampled_from(["x", "0", "lambda", "p", "dim", ""]))
+    key = f"{path}.{extra}" if path else extra
+    sweep = json.dumps({"base": base, "grid": {key: ["\0fuzz\0"]}, "seeds": [0]})
+    sweep = sweep.replace('"\\u0000fuzz\\u0000"', data.draw(st.sampled_from(ODD_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "sweep.json").write_text(sweep)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(["sweep", "--config", str(tmp / "sweep.json"),
+                         "--output", str(tmp / "out")])
+    assert code in (0, 1, 2)
+    if code:
+        text = err.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n"), text[:500]
+        assert "Traceback" not in text

@@ -75,6 +75,8 @@ def test_full_config_validates():
      exactly("config.model.n_householder: 2.0 is not of type 'integer'")),
     (lambda c: c.update(nd={"lambda": 1.0, "p": 0.5, "order": 3}),
      exactly("config.nd.order: 3 is not of type 'string', 'array'")),
+    (lambda c: c.update(dataset={"generator": "toy-hierarchical", "dim": 6, "n": 5}),
+     exactly("config.dataset.dim: 6 is not a multiple of 4")),
     (lambda c: c.update(nd={"lambda": 1.0, "p": 0.5, "order": "sideways"}),
      exactly("config.nd.order: 'sideways' is not one of ['identity', 'reversed', "
              "'random', 'depth-reversed', 'depth-forward']")),
@@ -396,6 +398,7 @@ def reference_class():
     ({"const": "y"}, "x"),
     ({"enum": ["a", "b"]}, "c"),
     ({"properties": {"it's.key": {"items": {"type": "string"}}}}, {"it's.key": ["a", 1]}),
+    ({"multipleOf": 4}, 6),
 ])
 def test_messages_match_jsonschema(reference_class, schema, value):
     """Outside a oneOf, each keyword words its error as jsonschema does."""

@@ -2,7 +2,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from nestedflow.evaluation import (
     deterministic_report_bytes,
     make_run_report,
     mse_curve,
-    report_to_dict,
     save_curve_csv,
     save_report,
 )
@@ -290,7 +289,10 @@ def test_make_run_report_fields():
     assert r.curves["reversed"]["order"] == [2, 1, 0]
     assert r.curves["reversed"]["mse"][0] == pytest.approx(5.0 / 3.0)
     assert r.test_bpd == pytest.approx(bits_per_dim(r.test_ll_nats, 3))
-    assert r.notes == {"mode": "demo"} and r.wall_clock == {}
+    assert r.notes == {"mode": "demo"}
+    # the report times its own evaluation
+    assert list(r.timing) == ["eval_seconds", "eval_threads"]
+    assert r.timing["eval_seconds"] > 0 and r.timing["eval_threads"] == 1
     # without a test split the train split is evaluated
     train_only = Dataset(points=np.array([[1.0, 2.0, 3.0]]), split={"train": (0, 1)})
     assert make_run_report(m, train_only, {"identity": identity_order(3)}).split \
@@ -298,10 +300,13 @@ def test_make_run_report_fields():
 
 
 def test_run_report_validation():
-    good = dict(test_ll_nats=-1.0, test_bpd=0.5,
-                mse_curve=np.array([1.0, 0.0]),
-                drop_order=np.array([0, 1]), config_hash="", seed=None)
+    good = dict(split="test", test_ll_nats=-1.0, test_bpd=0.5,
+                drop_order=np.array([0, 1]), mse_curve=np.array([1.0, 0.0]),
+                curves={}, config_hash="", seed=None, notes={}, timing={})
     RunReport(**good)
+    # every field is given: the report holds no default
+    assert all(f.default is MISSING and f.default_factory is MISSING
+               for f in fields(RunReport))
     # numerical failures: ArithmeticErrors, which the CLI exits 2 on
     with pytest.raises(FlowEvalError, match="log-likelihood metrics must be finite"):
         RunReport(**{**good, "test_ll_nats": np.nan})
@@ -318,10 +323,14 @@ def test_report_json_sections(tmp_path):
                                 {"identity": identity_order(3),
                                  "2-1-0": reversed_order(3)},
                                 config_hash="h", seed=0),
-                wall_clock={"train": 2.0})
-    save_report(report_to_dict(r), tmp_path, "identity")
+                timing={"train": 2.0})
+    save_report(r.document(), tmp_path, "identity")
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert set(doc) == {"results", "timing"}
+    assert list(doc) == ["results", "timing"]
+    # the fields are the results keys in document order, then timing
+    assert list(doc["results"]) == ["split", "test_ll_nats", "test_bpd", "drop_order",
+                                    "mse_curve", "curves", "config_hash", "seed", "notes"]
+    assert list(doc["results"]) + ["timing"] == [f.name for f in fields(RunReport)]
     assert doc["timing"] == {"train": 2.0}
     assert doc["results"]["test_ll_nats"] == r.test_ll_nats
     assert doc["results"]["drop_order"] == [0, 1, 2]
@@ -339,8 +348,8 @@ def test_timing_excluded_from_deterministic_bytes(tmp_path):
     p1, p2 = tmp_path / "a" / "report.json", tmp_path / "b" / "report.json"
     for path, seconds in ((p1, 0.1), (p2, 99.0)):
         path.parent.mkdir()
-        save_report(report_to_dict(replace(r, wall_clock={"train": seconds})),
-                    path.parent, "identity")
+        save_report(replace(r, timing={"train": seconds}).document(), path.parent,
+                    "identity")
     assert p1.read_bytes() != p2.read_bytes()
     assert deterministic_report_bytes(p1) == deterministic_report_bytes(p2)
 
