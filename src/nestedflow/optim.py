@@ -11,7 +11,8 @@ every iteration are recorded as a trace.
 two or more models it trains them as one stack in the same loop.  Each
 seed draws from its own generator, with its own nested-dropout weight λ,
 the stack takes one step on (S, B, D) batches, and Adam updates its (S, P)
-parameters and moments elementwise.
+parameters and moments elementwise.  A stack whose step fails numerically
+gives way to one solo run per seed.
 A solo run, and :func:`train`, take the plain 2-D path.
 """
 
@@ -150,12 +151,31 @@ def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
     (:func:`~nestedflow.flows.stack_models`): each consumes its generator as
     its solo run does, and one step moves every seed.  A stack in which some
     seeds have λ > 0 runs the reconstruction pass for all (see
-    :func:`~nestedflow.nested_dropout.loss_terms`).  When a stacked step
-    fails, each seed replays it alone: a seed whose replay fails drops out
-    with its solo run's error, and the others go on from their replayed
-    step.  Each result's ``seconds`` time the whole stack; at the end each
-    model holds its own parameters.
+    :func:`~nestedflow.nested_dropout.loss_terms`).  A stack is all or
+    nothing: when a stacked step raises an ``ArithmeticError``, every
+    generator is reset to its state at entry and every model, untouched
+    until a stack succeeds, trains alone, so each result or error is its
+    solo run's.  Such a stack costs its steps up to the failure plus one
+    solo run per seed.  Each result's ``seconds`` time the loop that made
+    it: the whole stack, or its solo run.
     """
+    lams = np.broadcast_to(0.0 if cfg.nd is None else cfg.nd.lam, len(models)).tolist()
+    if len(models) > 1:
+        entry = [rng.bit_generator.state for rng in rngs]
+        try:
+            return _train_together(models, train_points, cfg, lams, rngs)
+        except ArithmeticError:
+            for rng, state in zip(rngs, entry):
+                rng.bit_generator.state = state
+    return [_train_together([m], [points], cfg, [lam], [rng])[0]
+            for m, points, lam, rng in zip(models, train_points, lams, rngs)]
+
+
+def _train_together(models, train_points, cfg: TrainConfig, lams: list, rngs) -> list:
+    """Train ``models``, each with its λ in ``lams``, as one model: itself
+    when there is one, else their seed stack.  A solo run returns its
+    result or its error; a stack returns each model's result, having set
+    its parameters, or raises the first error of a stacked step."""
     stacked = len(models) > 1
     m = stack_models(models) if stacked else models[0]
     # Each distinct training set once, so seeds sharing one gather from one
@@ -168,39 +188,29 @@ def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
             n += len(tables[-1])
         blocks.append(spans[id(points)])
     table = np.concatenate(tables) if len(tables) > 1 else tables[0]
-    lams = np.broadcast_to(0.0 if cfg.nd is None else cfg.nd.lam, len(models))
-    penalised = [lam > 0.0 for lam in lams.tolist()]
+    penalised = [lam > 0.0 for lam in lams]
+    step_cfg = _with_lam(cfg, np.array(lams) if stacked else lams[0])
     terms = np.empty((3, len(models), cfg.iterations))  # nll, recon, lr per seed
-    errors = [None] * len(models)
-    live = list(range(len(models)))  # the seeds still training, in stack order
-    step_cfg = _with_lam(cfg, lams, live if stacked else 0)
     state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
-        x, ks = _draws(table, blocks, cfg, penalised, rngs, live)
+        x, ks = _draws(table, blocks, cfg, penalised, rngs)
+        if not stacked:
+            x, ks = x[0], None if ks is None else ks[0]
         try:
-            if stacked:
-                state = _step(m, x, ks, step_cfg, state, t, terms, live)
-            else:
-                state = _step(m, x[0], None if ks is None else ks[0], step_cfg, state, t,
-                              terms, 0)
+            state = _step(m, x, ks, step_cfg, state, t, terms)
         except ArithmeticError as e:
             if stacked:
-                m, state, live = _replay_alone(m, models, x, ks, cfg, lams, state, t,
-                                               terms, live, errors)
-                step_cfg = _with_lam(cfg, lams, live)
-            else:
-                errors[0], live = _diverged(e, terms, 0, t), []
-            if not live:
-                break
+                raise
+            return [_diverged(e, terms[:, 0], t)]
     seconds = time.perf_counter() - started
     if stacked:
-        for s, theta in zip(live, m.params.values):
-            models[s].set_params(theta)
+        for model, theta in zip(models, m.params.values):
+            model.set_params(theta)
     per_step = seconds / cfg.iterations if cfg.iterations else 0.0
     steps = np.arange(cfg.iterations)
     return [TrainResult(model, TrainTrace(steps, *terms[:, s]), seconds, per_step)
-            if errors[s] is None else errors[s] for s, model in enumerate(models)]
+            for s, model in enumerate(models)]
 
 
 def _train_table(points) -> np.ndarray:
@@ -212,18 +222,17 @@ def _train_table(points) -> np.ndarray:
     return x_all
 
 
-def _with_lam(cfg: TrainConfig, lams: np.ndarray, seeds) -> TrainConfig:
-    """``cfg`` with the λ of ``seeds``: a stack's list of seeds, or one."""
+def _with_lam(cfg: TrainConfig, lam) -> TrainConfig:
+    """``cfg`` with nested-dropout weight ``lam``: one, or a stack's (S,)."""
     if cfg.nd is None:
         return cfg
-    lam = lams[seeds] if isinstance(seeds, list) else float(lams[seeds])
     return replace(cfg, nd=replace(cfg.nd, lam=lam))
 
 
-def _draws(table, blocks: list, cfg: TrainConfig, penalised: list, rngs, live: list):
-    """One iteration's draws for the seeds in ``live``, each from its own
-    generator in its solo run's order: the batch row indices, then, when its
-    λ > 0, the truncation uniforms.  Seed s's training rows are the rows
+def _draws(table, blocks: list, cfg: TrainConfig, penalised: list, rngs):
+    """One iteration's draws for every seed, each from its own generator in
+    its solo run's order: the batch row indices, then, when its λ > 0, the
+    truncation uniforms.  Seed s's training rows are the rows
     ``range(*blocks[s])`` of ``table``.  Returns the (S, B, D) batch,
     gathered at once, and the (S, B) truncation indices, K (every coordinate
     kept) for a λ = 0 seed, or None when no seed has λ > 0."""
@@ -231,30 +240,29 @@ def _draws(table, blocks: list, cfg: TrainConfig, penalised: list, rngs, live: l
     schedule = None if cfg.nd is None else cfg.nd.schedule
     uniform = schedule is not None and schedule.p < 1.0
     rows, us = [], []
-    for s in live:
+    for rng, block, keep in zip(rngs, blocks, penalised):
         # Generator.integers(lo, hi) draws as integers(0, hi - lo) does,
         # shifted by lo: the seed's solo draws, as rows of the whole table.
-        rows.append(rngs[s].integers(*blocks[s], size=b))
-        if penalised[s] and uniform:
-            us.append(rngs[s].random(b))
+        rows.append(rng.integers(*block, size=b))
+        if keep and uniform:
+            us.append(rng.random(b))
     x = np.take(table, np.array(rows), axis=0)
-    keep = [penalised[s] for s in live]
-    if not any(keep):
+    if not any(penalised):
         return x, None
-    ks = schedule.inverse_cdf(np.array(us)) if uniform else np.ones((sum(keep), b), np.int64)
-    if all(keep):
+    ks = schedule.inverse_cdf(np.array(us)) if uniform else np.ones((sum(penalised), b), np.int64)
+    if all(penalised):
         return x, ks
-    out = np.full((len(live), b), schedule.K)
-    out[keep] = ks
+    out = np.full((len(rngs), b), schedule.K)
+    out[penalised] = ks
     return x, out
 
 
-def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
+def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms):
     """Iteration t of a model or a stack: its loss terms and learning rate
-    go to ``terms`` at ``rows`` (its seeds), its parameters take one Adam
-    step; returns the new Adam state."""
+    go to column t of ``terms``, its parameters take one Adam step; returns
+    the new Adam state."""
     def objective(theta):
-        total, terms[0, rows, t], terms[1, rows, t] = loss_terms(m, x, ks, cfg.nd, theta)
+        total, terms[0, :, t], terms[1, :, t] = loss_terms(m, x, ks, cfg.nd, theta)
         return total
 
     lr = cfg.lr_at(t)
@@ -264,43 +272,18 @@ def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms, rows):
         raise TrainDivergenceError(f"training diverged at iteration {t}: the Adam "
                                    f"step made the parameters non-finite")
     m.set_params(theta)
-    terms[2, rows, t] = lr
+    terms[2, :, t] = lr
     return state
 
 
-def _replay_alone(m, models, x, ks, cfg: TrainConfig, lams, state: AdamState, t: int,
-                  terms, live: list, errors: list):
-    """Replay a failed stacked step t one seed at a time, each on its own
-    model with its own λ.  A seed whose replay fails gets the error its solo
-    run raises in ``errors``; the stack of the others, with their replayed
-    step taken, goes on.  Returns that stack, its Adam state and its seeds."""
-    kept, states = [], []
-    for j, s in enumerate(live):
-        models[s].set_params(m.params.values[j])
-        seed_state = replace(state, first_moment=state.first_moment[j],
-                             second_moment=state.second_moment[j])
-        try:
-            states.append(_step(models[s], x[j], None if ks is None else ks[j],
-                                _with_lam(cfg, lams, s), seed_state, t, terms, s))
-            kept.append(s)
-        except ArithmeticError as e:
-            errors[s] = _diverged(e, terms, s, t)
-    if not kept:
-        return m, state, []
-    return (stack_models([models[s] for s in kept]),
-            AdamState(np.stack([st.first_moment for st in states]),
-                      np.stack([st.second_moment for st in states]), t + 1),
-            kept)
-
-
-def _diverged(e: ArithmeticError, terms, row: int, t: int) -> ArithmeticError:
+def _diverged(e: ArithmeticError, terms, t: int) -> ArithmeticError:
     """The error a solo run raises for its failed iteration t: a non-finite
     loss or gradient, or a FlowEvalError, becomes a TrainDivergenceError with
     the last finite loss terms; any other error stands as it is."""
     if not isinstance(e, (NonFiniteLossError, FlowEvalError)):
         return e
     err = TrainDivergenceError(f"training diverged at iteration {t}: {e}; "
-                               f"last finite terms: {_last_finite(terms[0, row], terms[1, row], t)}")
+                               f"last finite terms: {_last_finite(terms[0], terms[1], t)}")
     err.__cause__ = e
     return err
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import nestedflow.optim as optim
 from nestedflow.datasets import gen_synthetic_gaussian
 from nestedflow.coupling import build_multiscale_flow
 from nestedflow.flows import build_lu_flow, build_qr_flow
@@ -218,25 +219,44 @@ BUILDERS = {
 }
 
 
+def assert_left_as_solo_train_leaves_them(models, rngs, data, cfgs, fresh):
+    """Every seed's model and generator, the failing seed's included, end
+    as its solo ``train`` leaves them: the same parameter bytes and the same
+    generator state.  ``fresh(s)`` gives seed s's new model and generator."""
+    for s, (m, rng) in enumerate(zip(models, rngs)):
+        solo_m, solo_rng = fresh(s)
+        try:
+            train(solo_m, data[s], cfgs[s], solo_rng)
+        except TrainDivergenceError:
+            pass
+        assert m.params.values.tobytes() == solo_m.params.values.tobytes(), s
+        assert rng.bit_generator.state == solo_rng.bit_generator.state, s
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
 def test_train_seeds_matches_solo_train_bytewise(kind):
     """Each seed of a stack ends as its solo ``train`` ends: the same
-    parameters and trace, byte for byte, or the same error.  Seed 1's data
-    holds a row whose square overflows, so it fails at the first step that
-    draws that row, and the two other seeds go on as a smaller stack."""
+    parameters and trace, byte for byte, or the same error, with the
+    caller's model and generator left as that run leaves them.  Seed 1's
+    data holds a row whose square overflows, so the stack fails at the
+    first step that draws that row, and every seed trains again alone from
+    its generator's state at entry."""
     dim, build = BUILDERS[kind]
     data = [np.random.default_rng(30 + s).standard_normal((48, dim)) for s in range(3)]
     data[1][5] = 1e200
     cfg = TrainConfig(12, 8, 1e-2, "cosine-to-zero",
                       NestedDropoutConfig(lam=20.0, schedule=GeometricSchedule(p=0.33, K=dim)))
 
+    def fresh(s):
+        return build(np.random.default_rng(40 + s)), np.random.default_rng(50 + s)
+
     def solo_train(s):
-        return train(build(np.random.default_rng(40 + s)), data[s], cfg,
-                     np.random.default_rng(50 + s))
+        m, rng = fresh(s)
+        return train(m, data[s], cfg, rng)
 
     with np.errstate(all="ignore"):
-        stacked = train_seeds([build(np.random.default_rng(40 + s)) for s in range(3)],
-                              data, cfg, [np.random.default_rng(50 + s) for s in range(3)])
+        models, rngs = zip(*(fresh(s) for s in range(3)))
+        stacked = train_seeds(models, data, cfg, rngs)
         assert type(stacked[1]) is TrainDivergenceError
         assert not str(stacked[1]).startswith("training diverged at iteration 0")
         with pytest.raises(TrainDivergenceError) as solo_error:
@@ -248,6 +268,7 @@ def test_train_seeds_matches_solo_train_bytewise(kind):
             for column in ("iteration", "nll_term", "recon_term", "lr"):
                 assert getattr(result.trace, column).tobytes() == \
                     getattr(solo.trace, column).tobytes(), column
+        assert_left_as_solo_train_leaves_them(models, rngs, data, [cfg] * 3, fresh)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -256,8 +277,9 @@ def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind):
     them 0, and whose training sets differ in size, trains each seed as
     ``train`` does with its own weight: the same parameters and every trace
     column byte for byte, a reconstruction term of 0.0 at weight 0, or the
-    same error.  Seed 1's data holds a row whose square overflows, so it
-    fails alone and the stack goes on mixed."""
+    same error, with the caller's model and generator left as that run
+    leaves them.  Seed 1's data holds a row whose square overflows, so the
+    mixed stack fails and every seed trains again alone."""
     dim, build = BUILDERS[kind]
     lams = [0.0, 20.0, 0.5, 0.0]
     data = [np.random.default_rng(60 + s).standard_normal((40 + 8 * s, dim))
@@ -269,14 +291,16 @@ def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind):
         return TrainConfig(12, 8, 1e-2, "cosine-to-zero",
                            NestedDropoutConfig(lam=lam, schedule=schedule))
 
+    def fresh(s):
+        return build(np.random.default_rng(70 + s)), np.random.default_rng(80 + s)
+
     def solo_train(s):
-        return train(build(np.random.default_rng(70 + s)), data[s], cfg(lams[s]),
-                     np.random.default_rng(80 + s))
+        m, rng = fresh(s)
+        return train(m, data[s], cfg(lams[s]), rng)
 
     with np.errstate(all="ignore"):
-        stacked = train_seeds([build(np.random.default_rng(70 + s)) for s in range(4)],
-                              data, cfg(np.array(lams)),
-                              [np.random.default_rng(80 + s) for s in range(4)])
+        models, rngs = zip(*(fresh(s) for s in range(4)))
+        stacked = train_seeds(models, data, cfg(np.array(lams)), rngs)
         with pytest.raises(TrainDivergenceError) as solo_error:
             solo_train(1)
         assert type(stacked[1]) is TrainDivergenceError
@@ -288,8 +312,30 @@ def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind):
             for column in ("iteration", "nll_term", "recon_term", "lr"):
                 assert getattr(result.trace, column).tobytes() == \
                     getattr(solo.trace, column).tobytes(), column
+        assert_left_as_solo_train_leaves_them(models, rngs, data, [cfg(lam) for lam in lams],
+                                              fresh)
     assert not stacked[0].trace.recon_term.any() and not stacked[3].trace.recon_term.any()
     assert stacked[2].trace.recon_term.all()
+
+
+def test_a_non_numerical_error_in_a_stacked_step_is_not_retried_alone(monkeypatch):
+    """Only an ``ArithmeticError`` sends a stack's seeds to solo runs: a
+    ``ValueError`` raised in a stacked step leaves ``train_seeds`` as it
+    is, after that one step, with the caller's models untouched."""
+    calls = []
+
+    def failing_loss_terms(m, x, *args):
+        calls.append(np.ndim(x))
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(optim, "loss_terms", failing_loss_terms)
+    models = [build_qr_flow(2, np.random.default_rng(s)) for s in range(2)]
+    before = [m.params.values.tobytes() for m in models]
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        train_seeds(models, [training_data()] * 2, TrainConfig(5, 16, 1e-2),
+                    [np.random.default_rng(16), np.random.default_rng(17)])
+    assert calls == [3]  # one call, on the stack's (S, B, D) batch
+    assert [m.params.values.tobytes() for m in models] == before
 
 
 def test_trace_csv_layout(tmp_path):

@@ -73,7 +73,7 @@ def test_stacked_children_match_solo_train_bytewise(tmp_path, monkeypatch, model
     # At this learning rate seed 4 diverges on its second step; 2 and 3 finish.
     ("qr-linear", 2, [2, 3, 4], ["ok", "ok", "failed"]),
     # Here every seed fails: two diverge, at different steps, and three
-    # meet a singular LU factor, so the stack shrinks more than once.
+    # meet a singular LU factor; the stack fails and each seed fails alone.
     ("lu-linear", 6, [0, 1, 2, 3, 4], ["failed"] * 5),
 ])
 def test_failing_seed_fails_alone_with_its_solo_error(tmp_path, monkeypatch, kind,
