@@ -9,13 +9,14 @@ the identical float64, so save/load round trips are bit-exact.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 
 import numpy as np
 
 from .coupling import AffineCouplingTransform, MultiScaleFlow
 from .flows import (FlowModel, LULinearTransform, OffsetTransform, QRLinearTransform,
-                    split_blocks)
+                    split_blocks, transform_fields)
 
 SCHEMA_VERSION = 1
 
@@ -33,12 +34,9 @@ class CheckpointError(ValueError):
 def model_to_dict(m: FlowModel, rng_seed: int | None = None) -> dict:
     transforms = []
     for t, (lo, hi) in zip(m.transforms, m.spans):
-        entry = {"type": t.kind}
-        entry.update(t.config())
         blocks = split_blocks(t, m.params.values[lo:hi])
-        entry["params"] = {name: block.tolist()
-                           for (name, _), block in zip(t.param_blocks, blocks)}
-        transforms.append(entry)
+        params = {name: block.tolist() for (name, _), block in zip(t.param_blocks, blocks)}
+        transforms.append({"type": t.kind, **transform_fields(t), "params": params})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "dimension": m.dim,
@@ -92,8 +90,11 @@ def model_from_dict(doc: dict) -> FlowModel:
             if cls is None:
                 raise CheckpointError(
                     f"unknown transform type {kind!r} at position {pos}")
-            t = cls.from_config({k: v for k, v in entry.items()
-                                 if k not in ("type", "params")})
+            names = [f.name for f in dataclasses.fields(cls)]
+            unknown = [k for k in entry if k not in ("type", *names, "params")]
+            if unknown:
+                raise CheckpointError(f"transform {pos} ({kind}) has unknown field {unknown[0]!r}")
+            t = cls(**{name: entry[name] for name in names})
             blocks = entry.get("params", {})
             for name, size in t.param_blocks:
                 if name not in blocks:
@@ -115,9 +116,7 @@ def model_from_dict(doc: dict) -> FlowModel:
     with _malformed("checkpoint"):
         if "multiscale" not in doc:
             return FlowModel(dim, transforms, flat)
-        ms = doc["multiscale"]
-        return MultiScaleFlow(dim, transforms, flat, ms["depth_rank"],
-                              ms["n_levels"], ms["couplings_per_level"])
+        return MultiScaleFlow(dim, transforms, flat, **doc["multiscale"])
 
 
 def save_model(m: FlowModel, path, rng_seed: int | None = None):

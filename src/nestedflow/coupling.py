@@ -19,11 +19,15 @@ loss's reverse sweep calls once, with the same optional leading seed axis.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .flows import FlowModel, split_blocks, take_columns
 
 
+@dataclass(eq=False)
 class AffineCouplingTransform:
     """z_A = x_A;  z_B = x_B * exp(s(x_A)) + t(x_A).
 
@@ -37,28 +41,28 @@ class AffineCouplingTransform:
     conditioner's shapes, so their gradient is the span's.
     """
 
+    dim: int
+    identity_idx: np.ndarray
+    transformed_idx: np.ndarray
+    hidden_width: int = 32
+    log_scale_bound: float = 2.0
+
     kind = "affine_coupling"
 
-    def __init__(self, dim: int, identity_idx, transformed_idx,
-                 hidden_width: int = 32, log_scale_bound: float = 2.0):
-        self.dim = dim
-        a = np.asarray(identity_idx, dtype=np.int64)
-        b = np.asarray(transformed_idx, dtype=np.int64)
+    def __post_init__(self):
+        self.identity_idx = np.asarray(self.identity_idx, dtype=np.int64)
+        self.transformed_idx = np.asarray(self.transformed_idx, dtype=np.int64)
+        a, b = self.identity_idx, self.transformed_idx
         if a.size == 0 or b.size == 0:
             raise ValueError("identity and transformed sets must be nonempty")
-        if sorted(np.concatenate([a, b]).tolist()) != list(range(dim)):
+        if sorted(np.concatenate([a, b]).tolist()) != list(range(self.dim)):
             raise ValueError("identity and transformed sets must partition 0..D-1")
-        self.identity_idx = a
-        self.transformed_idx = b
-        self.hidden_width = hidden_width
-        self.log_scale_bound = float(log_scale_bound)
+        self.log_scale_bound = float(self.log_scale_bound)
         self._s_cols = np.arange(b.size)
-        na, nb, h = a.size, b.size, hidden_width
-        self.param_blocks = [
-            ("w1", na * h), ("b1", h),
-            ("w2", h * h), ("b2", h),
-            ("w3", h * 2 * nb), ("b3", 2 * nb),
-        ]
+        na, nb, h = a.size, b.size, self.hidden_width
+        self._shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
+        self.param_blocks = [(name, math.prod(shape)) for name, shape
+                             in zip(("w1", "b1", "w2", "b2", "w3", "b3"), self._shapes)]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
@@ -73,10 +77,8 @@ class AffineCouplingTransform:
 
     def weights(self, p):
         """Views of the six blocks in the conditioner's shapes."""
-        na, nb, h = self.identity_idx.size, self.transformed_idx.size, self.hidden_width
-        shapes = [(na, h), (h,), (h, h), (h,), (h, 2 * nb), (2 * nb,)]
         return [b.reshape(*b.shape[:-1], *shape)
-                for b, shape in zip(split_blocks(self, p), shapes)]
+                for b, shape in zip(split_blocks(self, p), self._shapes)]
 
     def weights_vjp(self, w, gw):
         return gw
@@ -152,20 +154,6 @@ class AffineCouplingTransform:
             return g_local, gz
 
         return x, back
-
-    def config(self):
-        return {
-            "dim": self.dim,
-            "identity_idx": self.identity_idx.tolist(),
-            "transformed_idx": self.transformed_idx.tolist(),
-            "hidden_width": self.hidden_width,
-            "log_scale_bound": self.log_scale_bound,
-        }
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(cfg["dim"], cfg["identity_idx"], cfg["transformed_idx"],
-                   cfg["hidden_width"], cfg["log_scale_bound"])
 
 
 class MultiScaleFlow(FlowModel):

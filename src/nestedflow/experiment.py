@@ -131,6 +131,15 @@ def train_order(cfg: dict):
     return cfg.get("nd", {}).get("order", "depth-reversed" if multiscale else "identity")
 
 
+def check_depth_orders(cfg: dict) -> None:
+    """A depth drop order, for training or in ``eval.orders``, on a model
+    that is not multi-scale is a ConfigError."""
+    kind = cfg["model"]["kind"]
+    for order in (train_order(cfg), *cfg.get("eval", {}).get("orders", [])):
+        if order in ("depth-reversed", "depth-forward") and kind != "coupling-multiscale":
+            raise ConfigError(f"config.model.kind: order {order!r} needs a multi-scale model")
+
+
 def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
     """TrainConfig plus the label of the drop order used for training."""
     from . import nested_dropout, optim
@@ -398,12 +407,13 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
     """One training run per (grid point, seed); failures are recorded in the
     aggregate table and do not stop the sweep.
 
-    Every child's config is validated first, so an invalid one fails the
-    sweep before its directory exists.  Children whose configs differ only
-    in seed and ``nd.lambda`` form one pool job, trained together (see
-    :func:`_train_runs`).  Jobs are halved, largest first, until there are
-    at least as many jobs as pool workers.  Each worker evaluates on its
-    share of ``worker_count()`` threads."""
+    Every child's config is validated first, its drop orders against its
+    model kind too, so an invalid one fails the sweep before its directory
+    exists.  Children whose configs differ only in seed and ``nd.lambda``
+    form one pool job, trained together (see :func:`_train_runs`).  Jobs
+    are halved, largest first, until there are at least as many jobs as
+    pool workers.  Each worker evaluates on its share of
+    ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -432,6 +442,7 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             child = f"{params} seed {seed}"
             try:
                 cfg = resolve_config(validate_config(cfg))
+                check_depth_orders(cfg)
             except ConfigError as e:
                 raise ConfigError(f"sweep child {child}: {e}") from None
             if name in named:

@@ -3,6 +3,9 @@
 Transforms are pure structure: they describe their parameter blocks and how
 to apply and invert themselves given the plain array of their span of the
 flat parameter vector.  The :class:`FlowModel` owns the parameter values.
+A transform is a dataclass whose fields are its checkpoint entry, in order:
+:func:`transform_fields` writes them as JSON values, and ``cls(**fields)``
+rebuilds the transform; ``__post_init__`` derives the rest.
 A transform's protocol, all in numpy:
 
 - ``weights(p)`` turns its span ``p`` into the form its arithmetic uses,
@@ -42,6 +45,7 @@ check fails for the whole stack when one slice fails it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +178,7 @@ class _LinearTransform:
         return np.matmul(z, b), back
 
 
+@dataclasses.dataclass(eq=False)
 class LULinearTransform(_LinearTransform):
     """Invertible linear map ``z = P L U x``.
 
@@ -185,26 +190,28 @@ class LULinearTransform(_LinearTransform):
     permutation is (S, D), one row per seed.
     """
 
+    dim: int
+    permutation: np.ndarray
+
     kind = "lu_linear"
     seed_fields = ("permutation",)  # drawn from each seed's init rng
 
-    def __init__(self, dim: int, permutation):
-        self.dim = dim
-        self.permutation = np.asarray(permutation, dtype=np.int64)
+    def __post_init__(self):
+        self.permutation = np.asarray(self.permutation, dtype=np.int64)
         if self.permutation.ndim not in (1, 2) or any(
-                sorted(row) != list(range(dim))
+                sorted(row) != list(range(self.dim))
                 for row in np.atleast_2d(self.permutation).tolist()):
             raise ValueError("permutation must be a bijection on 0..D-1")
         self._permute = _rows(self.permutation)
         self._unpermute = _rows(np.argsort(self.permutation))
-        self._low = np.tril_indices(dim, k=-1)
-        self._up = np.triu_indices(dim, k=1)
-        self._diag = np.diag_indices(dim)
-        n_off = dim * (dim - 1) // 2
+        self._low = np.tril_indices(self.dim, k=-1)
+        self._up = np.triu_indices(self.dim, k=1)
+        self._diag = np.diag_indices(self.dim)
+        n_off = self.dim * (self.dim - 1) // 2
         self.param_blocks = [
             ("lower", n_off),
             ("upper_offdiag", n_off),
-            ("upper_logdiag", dim),
+            ("upper_logdiag", self.dim),
         ]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
@@ -228,14 +235,8 @@ class LULinearTransform(_LinearTransform):
 
         return a, diag, vjp
 
-    def config(self):
-        return {"dim": self.dim, "permutation": self.permutation.tolist()}
 
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(cfg["dim"], cfg["permutation"])
-
-
+@dataclasses.dataclass(eq=False)
 class QRLinearTransform(_LinearTransform):
     """Invertible linear map ``z = Q R x``.
 
@@ -246,18 +247,19 @@ class QRLinearTransform(_LinearTransform):
     reflections act on the D×D matrix, not on the batch.
     """
 
+    dim: int
+    n_householder: int
+
     kind = "qr_linear"
 
-    def __init__(self, dim: int, n_householder: int | None = None):
-        self.dim = dim
-        self.n_householder = dim if n_householder is None else n_householder
+    def __post_init__(self):
         if self.n_householder < 1:
             raise ValueError("need at least one Householder vector")
-        self._up = np.triu_indices(dim, k=1)
-        self._diag = np.diag_indices(dim)
-        n_off = dim * (dim - 1) // 2
-        self.param_blocks = [(f"v{h}", dim) for h in range(self.n_householder)]
-        self.param_blocks += [("upper_offdiag", n_off), ("upper_logdiag", dim)]
+        self._up = np.triu_indices(self.dim, k=1)
+        self._diag = np.diag_indices(self.dim)
+        n_off = self.dim * (self.dim - 1) // 2
+        self.param_blocks = [(f"v{h}", self.dim) for h in range(self.n_householder)]
+        self.param_blocks += [("upper_offdiag", n_off), ("upper_logdiag", self.dim)]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         parts = []
@@ -295,22 +297,17 @@ class QRLinearTransform(_LinearTransform):
 
         return a, diag, vjp
 
-    def config(self):
-        return {"dim": self.dim, "n_householder": self.n_householder}
 
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(cfg["dim"], cfg["n_householder"])
-
-
+@dataclasses.dataclass(eq=False)
 class OffsetTransform:
     """Additive offset ``z = x + b`` (zero log-determinant)."""
 
+    dim: int
+
     kind = "offset"
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.param_blocks = [("offset", dim)]
+    def __post_init__(self):
+        self.param_blocks = [("offset", self.dim)]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         return np.zeros(self.dim)
@@ -327,12 +324,11 @@ class OffsetTransform:
     def inverse(self, b, z):
         return np.subtract(z, b), lambda g: (-g.sum(axis=-2), g)
 
-    def config(self):
-        return {"dim": self.dim}
 
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(cfg["dim"])
+def transform_fields(t) -> dict:
+    """A transform's fields in order, as its checkpoint entry holds them:
+    JSON numbers and lists."""
+    return {f.name: np.asarray(getattr(t, f.name)).tolist() for f in dataclasses.fields(t)}
 
 
 def standard_normal_logpdf_rows(z):
@@ -351,12 +347,14 @@ class FlowModel:
     def __init__(self, dim: int, transforms, params: np.ndarray, *, _stacked=False):
         self.dim = dim
         self.transforms = list(transforms)
-        for t in self.transforms:
-            if t.dim != dim:
-                raise ValueError("all transforms must share the model dimension")
         self.spans = []
         offset = 0
-        for t in self.transforms:
+        for i, t in enumerate(self.transforms):
+            if t.dim != dim:
+                raise ValueError("all transforms must share the model dimension")
+            seed_axis = any(np.ndim(getattr(t, f)) > 1 for f in getattr(t, "seed_fields", ()))
+            if seed_axis and not _stacked:  # a seed field holds one row per seed
+                raise ValueError(f"transform {i} ({t.kind}) has a seed axis outside a seed stack")
             size = sum(size for _, size in t.param_blocks)
             self.spans.append((offset, offset + size))
             offset += size
@@ -462,13 +460,13 @@ def stack_models(models) -> FlowModel:
     permutation) is rebuilt with that structure stacked."""
     transforms = []
     for ts in zip(*(m.transforms for m in models), strict=True):
-        fields = getattr(ts[0], "seed_fields", ())
-        cfgs = [t.config() for t in ts]
-        shared = [{k: v for k, v in c.items() if k not in fields} for c in cfgs]
-        if any(type(t) is not type(ts[0]) or c != shared[0] for t, c in zip(ts, shared)):
+        seed = getattr(ts[0], "seed_fields", ())
+        fields = [transform_fields(t) for t in ts]
+        shared = [{k: v for k, v in f.items() if k not in seed} for f in fields]
+        if any(type(t) is not type(ts[0]) or f != shared[0] for t, f in zip(ts, shared)):
             raise ValueError("a seed stack needs models of one architecture")
-        transforms.append(type(ts[0]).from_config(
-            {**cfgs[0], **{k: [c[k] for c in cfgs] for k in fields}}) if fields else ts[0])
+        transforms.append(type(ts[0])(
+            **{**fields[0], **{k: [f[k] for f in fields] for k in seed}}) if seed else ts[0])
     return FlowModel(models[0].dim, transforms,
                      np.stack([m.params.values for m in models]), _stacked=True)
 
@@ -490,6 +488,6 @@ def build_qr_flow(dim: int, rng: np.random.Generator,
     transforms = []
     if offset:
         transforms.append(OffsetTransform(dim))
-    transforms.append(QRLinearTransform(dim, n_householder))
+    transforms.append(QRLinearTransform(dim, dim if n_householder is None else n_householder))
     params = np.concatenate([t.init_params(rng) for t in transforms])
     return FlowModel(dim, transforms, params)

@@ -513,11 +513,19 @@ def _drop(pos, key):
     ("coupling", _set("multiscale", [1]), "malformed checkpoint"),
     ("lu", lambda doc: doc["transforms"][1]["params"].__setitem__("lower", "x"),
      "transform 1"),
+    # the seed-stack form of a permutation, one row per seed
+    ("lu", lambda doc: doc["transforms"][1].__setitem__(
+        "permutation", [doc["transforms"][1]["permutation"]] * 2),
+     "transform 1 (lu_linear) has a seed axis"),
+    ("qr", lambda doc: doc["transforms"][0].__setitem__("scale", 1.0),
+     "transform 0 (qr_linear) has unknown field 'scale'"),
+    ("coupling", lambda doc: doc["multiscale"].__setitem__("scale", 1.0), "'scale'"),
 ], ids=["transform-not-object", "transforms-not-list", "dimension-overflow",
         "dimension-not-number", "no-dimension", "no-dim", "no-permutation",
         "no-n_householder", "n_householder-overflow", "no-identity_idx",
         "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
-        "block-not-numbers"])
+        "block-not-numbers", "lu-permutation-2d", "extra-transform-field",
+        "extra-multiscale-field"])
 def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names):
     doc = model_to_dict(CHECKPOINT_MODELS[kind](np.random.default_rng(0)))
     edit(doc)
@@ -923,7 +931,11 @@ def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, h
      {"dataset.dim": [6, 8]},
      "sweep child {'dataset.dim': 6} seed 0: config.dataset.dim: "
      "6 is not a multiple of 4"),
-], ids=["nd-without-p", "float-batch-size", "toy-dim-not-a-multiple-of-4"])
+    ({"nd": {"lambda": 0.0, "p": 0.5}}, {"nd.order": ["identity", "depth-reversed"]},
+     "sweep child {'nd.order': 'depth-reversed'} seed 0: config.model.kind: "
+     "order 'depth-reversed' needs a multi-scale model"),
+], ids=["nd-without-p", "float-batch-size", "toy-dim-not-a-multiple-of-4",
+        "depth-order-on-a-linear-model"])
 def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_edit,
                                                         grid, message):
     """Every child's config is validated before the sweep directory exists:

@@ -5,8 +5,10 @@ data CSV or its sidecar) and calls ``cli.main`` in-process.  Whatever the
 damage, the exit code is 0, 1 or 2, and a failure prints exactly one line
 on stderr, with no traceback, and an input error from a damaged CSV or
 sidecar names that file.  Damage is random bytes, a truncated or
-byte-flipped valid document, deep nesting, or one JSON value replaced by a
-number too large, non-finite, integral-but-float, or of the wrong type.
+byte-flipped valid document, deep nesting, one JSON value replaced by a
+number too large, non-finite, integral-but-float, or of the wrong type, or
+one JSON list replaced by two copies of itself, the shape a seed stack
+gives a per-seed field such as an LU permutation.
 Numbers stay out of the range where a valid size would make a run long.
 Sweep examples grid over a key that is a dotted path through a base config
 plus one more segment, which may pass through a number, a string or a list.
@@ -33,6 +35,7 @@ CONFIG = {
     "eval": {"orders": ["identity", "random", [1, 0, 2]]},
     "seed": 0,
 }
+LU = dict(CONFIG, model={"kind": "lu-linear", "offset": True})
 COUPLING = {
     "dataset": {"generator": "toy-hierarchical", "dim": 4, "n": 30},
     "model": {"kind": "coupling-multiscale", "levels": 2,
@@ -55,10 +58,10 @@ DEPTHS = [2, 500, 990, 5_000, 100_000]
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """A trained run's config, checkpoint, dataset CSV and sidecar, for the
-    3-D linear and the 4-D multi-scale config."""
+    3-D QR and LU configs and the 4-D multi-scale config."""
     root = tmp_path_factory.mktemp("fuzz")
     files = {}
-    for name, cfg in (("linear", CONFIG), ("coupling", COUPLING)):
+    for name, cfg in (("linear", CONFIG), ("lu", LU), ("coupling", COUPLING)):
         path = root / f"{name}.json"
         path.write_text(json.dumps(cfg))
         run = root / name
@@ -80,10 +83,17 @@ def json_paths(doc, path=()):
         yield from json_paths(value, path + (key,))
 
 
+def value_at(doc, path):
+    """The value at ``path`` in a JSON document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def damaged(draw, raw: bytes) -> bytes:
     """``raw`` after one kind of damage."""
-    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "nest", "value"]))
+    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "nest", "value", "stack"]))
     if kind == "bytes":
         return draw(st.binary(max_size=64))
     if kind == "truncate":
@@ -103,13 +113,18 @@ def damaged(draw, raw: bytes) -> bytes:
             draw(st.sampled_from(NUMBERS)).encode()
         lines[row] = b",".join(cells)
         return b"\n".join(lines)
+    lists = [path for path in json_paths(doc) if isinstance(value_at(doc, path), list)]
+    if kind == "stack" and lists:
+        path = draw(st.sampled_from(lists))
+        stacked = [value_at(doc, path)] * 2
+        if not path:
+            return json.dumps(stacked).encode()
+        value_at(doc, path[:-1])[path[-1]] = stacked
+        return json.dumps(doc).encode()
     path = draw(st.sampled_from(list(json_paths(doc))))
     if not path:
         return draw(st.sampled_from(ODD_VALUES)).encode()
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = "\0fuzz\0"
+    value_at(doc, path[:-1])[path[-1]] = "\0fuzz\0"
     return json.dumps(doc).replace('"\\u0000fuzz\\u0000"', draw(
         st.sampled_from(ODD_VALUES))).encode()
 

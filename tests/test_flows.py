@@ -19,6 +19,7 @@ from nestedflow.flows import (
     build_qr_flow,
     stack_models,
     standard_normal_logpdf_rows,
+    transform_fields,
 )
 from nestedflow.nested_dropout import GeometricSchedule, NestedDropoutConfig, loss_terms
 from test_coupling import assert_stack_matches_solo, count_graph_nodes
@@ -178,19 +179,46 @@ def test_lu_permutation_must_be_bijection():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    for kind in ("qr", "lu", "coupling"):
-        m = perturb(random_model(kind, 4, 5), 3)
+    def maps(t, p, x):
+        """A transform's forward image, log-determinant and inverse of it."""
+        w = t.weights(p)
+        z, logdet, _ = t.forward(w, x)
+        return z, logdet, t.inverse(w, z)[0]
+
+    def assert_rebuilds(t, p, x):
+        """``t`` rebuilt from its fields has its fields and maps ``x`` to its bits."""
+        again = type(t)(**transform_fields(t))
+        assert transform_fields(again) == transform_fields(t)
+        for got, want in zip(maps(again, p, x), maps(t, p, x)):
+            assert np.array_equal(got, want)
+        return again
+
+    rng = np.random.default_rng(8)
+    models = {kind: random_model(kind, 4, 5) for kind in ("qr", "lu", "coupling")}
+    models["qr-h2-offset"] = build_qr_flow(4, rng, n_householder=2, offset=True)
+    models["lu-offset"] = build_lu_flow(4, rng, offset=True)
+    x = np.random.default_rng(0).standard_normal((3, 4))
+    for kind, m in models.items():
+        m = perturb(m, 3)
         path = tmp_path / f"{kind}.json"
         save_model(m, path, rng_seed=5)
         loaded = load_model(path)
         assert np.array_equal(loaded.params.values, m.params.values)
         assert loaded.dim == m.dim
         assert [t.kind for t in loaded.transforms] == [t.kind for t in m.transforms]
-        x = np.random.default_rng(0).standard_normal((3, 4))
         assert_allclose(np.asarray(loaded.forward_batch(x)[0]),
                         np.asarray(m.forward_batch(x)[0]), atol=0)
         save_model(loaded, tmp_path / "again.json", rng_seed=5)
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        for t, (lo, hi) in zip(m.transforms, m.spans):
+            assert_rebuilds(t, m.params.values[lo:hi], x)
+    assert models["qr-h2-offset"].transforms[1].n_householder == 2
+
+    stack = perturb(stack_models([build_lu_flow(4, rng, offset=True) for _ in range(3)]), 4)
+    xs = np.random.default_rng(1).standard_normal((3, 5, 4))
+    for t, (lo, hi) in zip(stack.transforms, stack.spans):
+        again = assert_rebuilds(t, stack.params.values[:, lo:hi], xs)
+    assert again.permutation.shape == (3, 4)
 
 
 def test_checkpoint_preserves_multiscale_metadata(tmp_path):
