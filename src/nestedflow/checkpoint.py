@@ -116,7 +116,13 @@ def model_from_dict(doc: dict) -> FlowModel:
     with _malformed("checkpoint"):
         if "multiscale" not in doc:
             return FlowModel(dim, transforms, flat)
-        return MultiScaleFlow(dim, transforms, flat, **doc["multiscale"])
+        fields = {**doc["multiscale"]}
+        depth_rank = fields.pop("depth_rank")
+        m = MultiScaleFlow(dim, transforms, flat, **fields)
+    if m.depth_rank.tolist() != depth_rank:
+        raise CheckpointError(f"checkpoint multiscale field 'depth_rank' does not match "
+                              f"n_levels {m.n_levels}: expected {m.depth_rank.tolist()}")
+    return m
 
 
 def save_model(m: FlowModel, path, rng_seed: int | None = None):

@@ -159,16 +159,18 @@ class AffineCouplingTransform:
 class MultiScaleFlow(FlowModel):
     """Flow of levelled couplings with variables set aside between levels.
 
-    ``depth_rank[v]`` counts the levels variable v participated in; higher
-    means deeper.
+    ``depth_rank[v]`` counts the levels variable v participated in, as
+    :func:`split_schedule` sets them aside; higher means deeper.
     """
 
-    def __init__(self, dim, transforms, params, depth_rank, n_levels: int,
-                 couplings_per_level: int):
+    def __init__(self, dim, transforms, params, n_levels: int, couplings_per_level: int):
         super().__init__(dim, transforms, params)
-        self.depth_rank = np.asarray(depth_rank, dtype=np.int64)
-        if self.depth_rank.size != dim:
-            raise ValueError("depth_rank must assign every variable a depth")
+        if not 1 <= n_levels * couplings_per_level == len(transforms):
+            raise ValueError(f"n_levels {n_levels} x couplings_per_level {couplings_per_level} "
+                             f"must be the number of couplings, {len(transforms)}, and at least 1")
+        self.depth_rank = np.zeros(dim, dtype=np.int64)
+        for active in split_schedule(dim, n_levels):
+            self.depth_rank[active] += 1
         self.n_levels = n_levels
         self.couplings_per_level = couplings_per_level
 
@@ -205,9 +207,7 @@ def build_multiscale_flow(dim: int, n_levels: int, couplings_per_level: int,
     levels = split_schedule(dim, n_levels)
     all_idx = np.arange(dim, dtype=np.int64)
     transforms = []
-    depth_rank = np.zeros(dim, dtype=np.int64)
     for active in levels:
-        depth_rank[active] += 1
         inactive = np.setdiff1d(all_idx, active)
         first, second = active[: active.size // 2], active[active.size // 2 :]
         for j in range(couplings_per_level):
@@ -218,8 +218,7 @@ def build_multiscale_flow(dim: int, n_levels: int, couplings_per_level: int,
             transforms.append(AffineCouplingTransform(
                 dim, np.sort(a), np.sort(b), hidden_width, log_scale_bound))
     params = np.concatenate([t.init_params(rng) for t in transforms])
-    return MultiScaleFlow(dim, transforms, params, depth_rank, n_levels,
-                          couplings_per_level)
+    return MultiScaleFlow(dim, transforms, params, n_levels, couplings_per_level)
 
 
 def multiscale_depth_order(m: MultiScaleFlow) -> np.ndarray:

@@ -31,6 +31,7 @@ from .linalg import random_rotation
 SPLIT_NAMES = ("train", "val", "test")
 _SIDECAR = ".meta.json"  # a dataset CSV's provenance and splits are at its path + _SIDECAR
 _BLOCK_VALUES = 2**12  # per CSV block: its working set stays under 1 MB
+GAUSSIAN_EIGENVALUES = (1.0, 0.1, 0.01)  # of the synthetic-gaussian covariance
 
 
 class DatasetFormatError(ValueError):
@@ -92,7 +93,7 @@ def gen_synthetic_gaussian(n_train: int, n_test: int, seed: int) -> Dataset:
     """Rotated 3-D Gaussian with covariance eigenvalues (1, 0.1, 0.01)."""
     if n_train < 1 or n_test < 1:
         raise ValueError("split sizes must be at least 1")
-    eigenvalues = [1.0, 0.1, 0.01]
+    eigenvalues = list(GAUSSIAN_EIGENVALUES)
     return _rotated_gaussian("synthetic-gaussian", eigenvalues, n_train + n_test, n_train, seed,
                              {"n_train": n_train, "n_test": n_test, "eigenvalues": eigenvalues})
 
@@ -105,6 +106,13 @@ def gen_toy_hierarchical(dim: int, n: int, seed: int) -> Dataset:
         raise ValueError("need at least 5 points for an 80/20 split")
     return _rotated_gaussian("toy-hierarchical", 0.6 ** np.arange(dim), n, (4 * n) // 5, seed,
                              {"dim": dim, "n": n, "spectrum_ratio": 0.6})
+
+
+def spec_dim(spec: dict) -> int | None:
+    """The dimension of a valid inline config dataset spec; None for a ``path`` one."""
+    if "path" in spec:
+        return None
+    return spec["dim"] if spec["generator"] == "toy-hierarchical" else len(GAUSSIAN_EIGENVALUES)
 
 
 def _layout_tables():

@@ -42,7 +42,7 @@ from . import __version__
 from .config import (SWEEP_SCHEMA, ConfigError, _where, config_hash, resolve_config,
                      validate_config)
 from .datasets import Dataset, copy_dataset, gen_synthetic_gaussian, \
-    gen_toy_hierarchical, load_dataset, save_dataset
+    gen_toy_hierarchical, load_dataset, save_dataset, spec_dim
 
 if TYPE_CHECKING:
     from .flows import FlowModel
@@ -131,15 +131,6 @@ def train_order(cfg: dict):
     return cfg.get("nd", {}).get("order", "depth-reversed" if multiscale else "identity")
 
 
-def check_depth_orders(cfg: dict) -> None:
-    """A depth drop order, for training or in ``eval.orders``, on a model
-    that is not multi-scale is a ConfigError."""
-    kind = cfg["model"]["kind"]
-    for order in (train_order(cfg), *cfg.get("eval", {}).get("orders", [])):
-        if order in ("depth-reversed", "depth-forward") and kind != "coupling-multiscale":
-            raise ConfigError(f"config.model.kind: order {order!r} needs a multi-scale model")
-
-
 def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
     """TrainConfig plus the label of the drop order used for training."""
     from . import nested_dropout, optim
@@ -156,6 +147,16 @@ def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
     return optim.TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
                              lr_initial=t["lr_initial"],
                              lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
+
+
+def build_run(cfg: dict, seeds: dict, dim: int) -> tuple[FlowModel, TrainConfig, dict]:
+    """What a training run builds for data of dimension ``dim``: the model,
+    its training config and its drop-order table, the training order first."""
+    model = build_model(cfg, dim, seeds["init"])
+    train_cfg, _ = make_train_config(cfg, model)
+    orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
+                         model, seeds["eval"])
+    return model, train_cfg, orders
 
 
 @functools.cache
@@ -224,8 +225,7 @@ class _TrainRun:
     data: Dataset
     model: FlowModel
     train_cfg: TrainConfig
-    label: str  # of the training drop order
-    orders: dict
+    orders: dict  # the training drop order's label first
 
 
 def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
@@ -239,10 +239,7 @@ def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
     cfg, out_dir, seeds = _setup(cfg, out_dir)
     key = (json.dumps(cfg["dataset"], sort_keys=True), seeds["data"])
     data, written = datasets.get(key) or (get_dataset(cfg, seeds["data"]), None)
-    model = build_model(cfg, data.dim, seeds["init"])
-    train_cfg, label = make_train_config(cfg, model)
-    orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
-                         model, seeds["eval"])
+    model, train_cfg, orders = build_run(cfg, seeds, data.dim)
     _prepare_run_dir(cfg, out_dir)
     if "path" not in cfg["dataset"]:
         path = out_dir / "dataset.csv"
@@ -252,7 +249,7 @@ def _start_train(cfg: dict, out_dir, datasets: dict) -> _TrainRun:
         else:
             copy_dataset(written, path)
     datasets[key] = data, written
-    return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, label, orders)
+    return _TrainRun(cfg, out_dir, seeds, data, model, train_cfg, orders)
 
 
 def _finish_train(run: _TrainRun, result, threads: int):
@@ -260,12 +257,13 @@ def _finish_train(run: _TrainRun, result, threads: int):
     ``threads`` threads, then the checkpoint, trace and report, whose
     ``timing`` adds the training seconds to the evaluation's."""
     from . import checkpoint, evaluation
+    label = next(iter(run.orders))
     report = evaluation.make_run_report(
         run.model, run.data, run.orders, config_hash=config_hash(run.cfg),
         seed=run.cfg["seed"],
         notes={
             "mode": "nested-dropout" if run.train_cfg.nd is not None else "baseline",
-            "train_order": run.label,
+            "train_order": label,
             "dataset": dataset_notes(run.data),
         },
         threads=threads,
@@ -279,7 +277,7 @@ def _finish_train(run: _TrainRun, result, threads: int):
 
     checkpoint.save_model(run.model, run.out_dir / "checkpoint.json", rng_seed=run.cfg["seed"])
     result.trace.save_csv(run.out_dir / "trace.csv")
-    evaluation.save_report(report.document(), run.out_dir, run.label)
+    evaluation.save_report(report.document(), run.out_dir, label)
     return report, run.out_dir
 
 
@@ -404,16 +402,17 @@ def worker_count() -> int:
 
 
 def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
-    """One training run per (grid point, seed); failures are recorded in the
-    aggregate table and do not stop the sweep.
+    """One training run per (grid point, seed).  A child that fails in
+    training or evaluation, or whose ``path`` dataset cannot be used, is a
+    ``failed`` row of the aggregate table and does not stop the sweep.
 
-    Every child's config is validated first, its drop orders against its
-    model kind too, so an invalid one fails the sweep before its directory
-    exists.  Children whose configs differ only in seed and ``nd.lambda``
-    form one pool job, trained together (see :func:`_train_runs`).  Jobs
-    are halved, largest first, until there are at least as many jobs as
-    pool workers.  Each worker evaluates on its share of
-    ``worker_count()`` threads."""
+    Every child's config is validated first, and one with an inline dataset
+    is set up as ``train`` sets it up (:func:`build_run`), so an invalid
+    child fails the sweep before its directory exists.  Children whose
+    configs differ only in seed and ``nd.lambda`` form one pool job, trained
+    together (see :func:`_train_runs`).  Jobs are halved, largest first,
+    until there are at least as many jobs as pool workers.  Each worker
+    evaluates on its share of ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -442,8 +441,10 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             child = f"{params} seed {seed}"
             try:
                 cfg = resolve_config(validate_config(cfg))
-                check_depth_orders(cfg)
-            except ConfigError as e:
+                dim = spec_dim(cfg["dataset"])
+                if dim is not None:
+                    build_run(cfg, derive_seeds(cfg["seed"]), dim)
+            except ValueError as e:
                 raise ConfigError(f"sweep child {child}: {e}") from None
             if name in named:
                 raise ConfigError(f"sweep children {named[name]} and {child} "
@@ -474,30 +475,14 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
             results = list(pool.map(run_job, payloads))
     else:
         results = [run_job(p) for p in payloads]
-    outcomes = [None] * len(children)
-    for job, result in zip(jobs, results):
-        for i, outcome in zip(job, result):
-            outcomes[i] = outcome
-
-    rows = []
-    for (params, seed, _, child_dir), outcome in zip(children, outcomes):
-        row = {**{k: params[k] for k in keys}, "seed": seed,
-               "run_dir": str(child_dir)}
-        if "error" in outcome:
-            row.update(status="failed", error=outcome["error"])
-        else:
-            curve = outcome["mse_curve"]
-            row.update(status="ok", test_ll_nats=outcome["test_ll_nats"],
-                       mse_1=curve[0], mse_2=curve[1] if len(curve) > 1 else "")
-        rows.append(row)
-
-    columns = keys + ["seed", "status", "test_ll_nats", "mse_1", "mse_2",
-                      "error", "run_dir"]
+    cells = dict(zip(itertools.chain(*jobs), itertools.chain(*results)))
     with open(out_dir / "aggregate.csv", "w", newline="") as f:
         # csv quotes cells holding commas, such as list or object grid values
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row.get(c, "") for c in columns] for row in rows)
+        writer.writerow(keys + ["seed", "status", "test_ll_nats", "mse_1", "mse_2",
+                                "error", "run_dir"])
+        writer.writerows([*params.values(), seed, *cells[i], str(child_dir)]
+                         for i, (params, seed, _, child_dir) in enumerate(children))
     return out_dir
 
 
@@ -521,18 +506,19 @@ def one_line_warnings():
 
 def _run_sweep_job(payloads, threads: int):
     """One pool job, children that differ only in seed and ``nd.lambda``,
-    evaluated on ``threads`` threads: each child's LL and MSE curve, or the
-    error it is recorded with.  Numpy's floating-point warnings are off,
-    since the non-finite checks report each failure."""
+    evaluated on ``threads`` threads: each child's ``aggregate.csv`` cells.
+    Numpy's floating-point warnings are off, since the non-finite checks
+    report each failure."""
     with np.errstate(all="ignore"):
-        return [_sweep_outcome(o) for o in _train_runs(*zip(*payloads), threads)]
+        return [_aggregate_cells(o) for o in _train_runs(*zip(*payloads), threads)]
 
 
-def _sweep_outcome(outcome) -> dict:
+def _aggregate_cells(outcome) -> list:
+    """A child's ``aggregate.csv`` cells from ``status`` to ``error``."""
     if isinstance(outcome, Exception):
         # keep the aggregate CSV one-cell-per-column
         flat = f"{type(outcome).__name__}: {outcome}".replace(",", ";").replace("\n", " ")
-        return {"error": flat}
+        return ["failed", "", "", "", flat]
     report, _ = outcome
-    return {"test_ll_nats": report.test_ll_nats,
-            "mse_curve": report.mse_curve.tolist()}
+    curve = report.mse_curve.tolist()
+    return ["ok", report.test_ll_nats, curve[0], curve[1] if len(curve) > 1 else "", ""]

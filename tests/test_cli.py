@@ -485,6 +485,7 @@ CHECKPOINT_MODELS = {
     "qr": lambda rng: build_qr_flow(3, rng),
     "lu": lambda rng: build_lu_flow(3, rng, offset=True),
     "coupling": lambda rng: build_multiscale_flow(4, 1, 2, rng, hidden_width=4),
+    "coupling8": lambda rng: build_multiscale_flow(8, 2, 2, rng, hidden_width=4),
 }
 
 
@@ -520,12 +521,17 @@ def _drop(pos, key):
     ("qr", lambda doc: doc["transforms"][0].__setitem__("scale", 1.0),
      "transform 0 (qr_linear) has unknown field 'scale'"),
     ("coupling", lambda doc: doc["multiscale"].__setitem__("scale", 1.0), "'scale'"),
+    # depth_rank and the level sizes must be the ones the couplings were built with
+    ("coupling8", lambda doc: doc["multiscale"].__setitem__("depth_rank", [2] * 4 + [1] * 4),
+     "multiscale field 'depth_rank'"),
+    ("coupling8", lambda doc: doc["multiscale"].update(n_levels=5, couplings_per_level=7),
+     "n_levels 5 x couplings_per_level 7"),
 ], ids=["transform-not-object", "transforms-not-list", "dimension-overflow",
         "dimension-not-number", "no-dimension", "no-dim", "no-permutation",
         "no-n_householder", "n_householder-overflow", "no-identity_idx",
         "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
         "block-not-numbers", "lu-permutation-2d", "extra-transform-field",
-        "extra-multiscale-field"])
+        "extra-multiscale-field", "depth_rank-not-derived", "levels-not-the-couplings"])
 def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names):
     doc = model_to_dict(CHECKPOINT_MODELS[kind](np.random.default_rng(0)))
     edit(doc)
@@ -932,14 +938,24 @@ def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, h
      "sweep child {'dataset.dim': 6} seed 0: config.dataset.dim: "
      "6 is not a multiple of 4"),
     ({"nd": {"lambda": 0.0, "p": 0.5}}, {"nd.order": ["identity", "depth-reversed"]},
-     "sweep child {'nd.order': 'depth-reversed'} seed 0: config.model.kind: "
-     "order 'depth-reversed' needs a multi-scale model"),
+     "sweep child {'nd.order': 'depth-reversed'} seed 0: "
+     "order 'depth-reversed' needs a multi-scale model, got qr_linear"),
+    ({"nd": {"lambda": 0.0, "p": 0.5}}, {"nd.order": [[0, 1, 2], [0, 1]]},
+     "sweep child {'nd.order': [0, 1]} seed 0: drop order must be a permutation of 0..2"),
+    ({"dataset": {"generator": "toy-hierarchical", "dim": 4, "n": 30},
+      "model": {"kind": "coupling-multiscale", "levels": 1, "couplings_per_level": 1,
+                "hidden_width": 3}},
+     {"model.levels": [2, 3]},
+     "sweep child {'model.levels': 3} seed 0: "
+     "level 2 has 1 active variables; dimension 4 cannot support 3 levels"),
 ], ids=["nd-without-p", "float-batch-size", "toy-dim-not-a-multiple-of-4",
-        "depth-order-on-a-linear-model"])
+        "depth-order-on-a-linear-model", "wrong-length-order", "too-deep-levels"])
 def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_edit,
                                                         grid, message):
-    """Every child's config is validated before the sweep directory exists:
-    one line naming the grid point, the seed and the field, and exit 1."""
+    """Every child's config is validated, and a child with an inline dataset
+    is set up as ``train`` sets it up, before the sweep directory exists:
+    one line naming the grid point, the seed and ``train``'s message, and
+    exit 1."""
     base = {**write_config(tmp_path / "base.json"), **base_edit}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps({"base": base, "grid": grid, "seeds": [0, 1]}))

@@ -12,9 +12,12 @@ gives a per-seed field such as an LU permutation.
 Numbers stay out of the range where a valid size would make a run long.
 Sweep examples grid over a key that is a dotted path through a base config
 plus one more segment, which may pass through a number, a string or a list.
+Sweep children drawn over the keys that size a run (a drop order, the model's
+levels, the data's dimension) fail the sweep where ``train`` fails on them.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestedflow.cli import main
@@ -208,3 +211,72 @@ def test_sweep_exit_contract_under_grid_keys_through_the_base(base, data):
         text = err.getvalue()
         assert text.count("\n") == 1 and text.endswith("\n"), text[:500]
         assert "Traceback" not in text
+
+
+ORDER_NAMES = ["identity", "reversed", "random", "depth-reversed", "depth-forward"]
+# permutations for the 3-D and the 4-D base, and lists of length 1-5
+INDEX_LISTS = st.one_of(st.permutations(range(3)), st.permutations(range(4)),
+                        st.lists(st.integers(0, 4), min_size=1, max_size=5))
+# The grid values of the base configs' keys that size a run.
+SIZING_VALUES = {
+    "nd.order": INDEX_LISTS,
+    "eval.orders": st.lists(st.one_of(st.sampled_from(ORDER_NAMES), INDEX_LISTS),
+                            min_size=1, max_size=2),
+    "model.levels": st.integers(1, 4),
+    "model.couplings_per_level": st.integers(1, 3),
+    "dataset.dim": st.sampled_from([4, 6, 8]),
+}
+VALUE_ERRORS = {"ValueError", "ConfigError", "CheckpointError", "DatasetFormatError"}
+
+
+@st.composite
+def sweep_children(draw):
+    """A base config, one of its keys that size a run, and a grid value."""
+    base = draw(st.sampled_from([CONFIG, COUPLING]))
+    key = draw(st.sampled_from([k for k in SIZING_VALUES if k in grid_keys(base)]))
+    return base, key, draw(SIZING_VALUES[key])
+
+
+def run_cli(argv):
+    """``cli.main`` on ``argv``: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(child=sweep_children())
+@example(child=(CONFIG, "nd.order", [0, 1]))  # an order of the wrong length
+@example(child=(COUPLING, "model.levels", 3))  # more levels than 4 variables support
+def test_a_sweep_child_fails_where_train_fails(child):
+    """A child that ``train`` rejects fails the sweep before its directory
+    exists, with ``train``'s message; any other child's row fails, if at
+    all, only numerically.  Two seeds per child, so that at two threads the
+    children run in a process pool."""
+    base, key, value = child
+    cfg = json.loads(json.dumps(base))
+    *heads, last = key.split(".")
+    value_at(cfg, heads)[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "child.json").write_text(json.dumps(cfg))
+        (tmp / "sweep.json").write_text(
+            json.dumps({"base": base, "grid": {key: [value]}, "seeds": [0, 1]}))
+        train_code, train_err = run_cli(["train", "--config", str(tmp / "child.json"),
+                                         "--output", str(tmp / "train")])
+        code, err = run_cli(["sweep", "--config", str(tmp / "sweep.json"),
+                             "--output", str(tmp / "sweep")])
+        if train_code == 1:
+            assert code == 1 and err.count("\n") == 1, err[:500]
+            assert err.startswith("error: sweep child ") and \
+                err.endswith(f" seed 0: {train_err.removeprefix('error: ')}"), (err, train_err)
+            assert not (tmp / "sweep").exists()
+            return
+        assert code == 0, err[:500]
+        with open(tmp / "sweep" / "aggregate.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "ok" or row["error"].split(":")[0] not in VALUE_ERRORS, row

@@ -15,6 +15,7 @@ from nestedflow.datasets import (
     gen_toy_hierarchical,
     load_dataset,
     save_dataset,
+    spec_dim,
     write_csv,
 )
 from nestedflow.linalg import random_rotation
@@ -426,5 +427,9 @@ def saved_bytes(d, path):
 ], ids=["synthetic-gaussian", "toy-hierarchical"])
 def test_generators_write_the_reference_bytes(tmp_path, generator, reference, sizes, seed):
     for size in sizes:
-        assert saved_bytes(generator(*size, seed), tmp_path / "new.csv") == \
+        data = generator(*size, seed)
+        assert saved_bytes(data, tmp_path / "new.csv") == \
             saved_bytes(reference(*size, seed), tmp_path / "ref.csv"), size
+        # the dimension a config spec gives, known before the data is made
+        spec = {"generator": data.provenance["generator"], **data.provenance["parameters"]}
+        assert spec_dim(spec) == data.dim, size
