@@ -20,8 +20,10 @@ from .config import SWEEP_SCHEMA, load_config
 from . import experiment
 
 NUMERICAL_ERRORS = ArithmeticError
-# ConfigError, CheckpointError and DatasetFormatError are ValueErrors.
-USAGE_ERRORS = (ValueError, OSError)
+# ConfigError, CheckpointError and DatasetFormatError are ValueErrors; a
+# MemoryError is an allocation that the config asks for and the machine
+# cannot make.
+USAGE_ERRORS = (ValueError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -131,32 +131,31 @@ def train_order(cfg: dict):
     return cfg.get("nd", {}).get("order", "depth-reversed" if multiscale else "identity")
 
 
-def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, str]:
-    """TrainConfig plus the label of the drop order used for training."""
+def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, dict]:
+    """TrainConfig plus the run's drop-order table (:func:`order_table`):
+    the training order first, then ``eval.orders``."""
     from . import nested_dropout, optim
     t = cfg["train"]
     nd_spec = cfg.get("nd")
-    order = train_order(cfg)
+    orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
+                         model, derive_seeds(cfg["seed"])["eval"])
     nd = None
     if nd_spec is not None:
         nd = nested_dropout.NestedDropoutConfig(
             lam=nd_spec["lambda"],
             schedule=nested_dropout.GeometricSchedule(p=nd_spec["p"], K=model.dim),
-            drop_order=resolve_order(order, model, derive_seeds(cfg["seed"])["eval"]),
+            drop_order=next(iter(orders.values())),
         )
     return optim.TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
                              lr_initial=t["lr_initial"],
-                             lr_schedule=t["lr_schedule"], nd=nd), value_label(order)
+                             lr_schedule=t["lr_schedule"], nd=nd), orders
 
 
 def build_run(cfg: dict, seeds: dict, dim: int) -> tuple[FlowModel, TrainConfig, dict]:
     """What a training run builds for data of dimension ``dim``: the model,
     its training config and its drop-order table, the training order first."""
     model = build_model(cfg, dim, seeds["init"])
-    train_cfg, _ = make_train_config(cfg, model)
-    orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
-                         model, seeds["eval"])
-    return model, train_cfg, orders
+    return model, *make_train_config(cfg, model)
 
 
 @functools.cache

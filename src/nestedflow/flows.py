@@ -255,6 +255,11 @@ class QRLinearTransform(_LinearTransform):
     def __post_init__(self):
         if self.n_householder < 1:
             raise ValueError("need at least one Householder vector")
+        if self.n_householder > self.dim:
+            # D reflections already reach every orthogonal D×D matrix
+            # (Cartan–Dieudonné); check before anything is sized by it.
+            raise ValueError(f"n_householder {self.n_householder} exceeds the dimension "
+                             f"{self.dim}")
         self._up = np.triu_indices(self.dim, k=1)
         self._diag = np.diag_indices(self.dim)
         n_off = self.dim * (self.dim - 1) // 2

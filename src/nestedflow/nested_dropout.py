@@ -54,7 +54,9 @@ class GeometricSchedule:
 
 
 def sample_ks(s: GeometricSchedule, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n truncation indices via inverse-CDF sampling; p = 1 draws nothing."""
+    """n truncation indices via inverse-CDF sampling; p = 1 draws nothing.
+    The one truncation sampler: training calls it once per iteration for
+    each seed with λ > 0, solo or in a stack."""
     if s.p == 1.0:
         return np.ones(n, dtype=np.int64)
     return s.inverse_cdf(rng.random(n))
@@ -139,15 +141,13 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     ll = np.add(standard_normal_logpdf_rows(z), logdet)
     nll_mean = np.multiply(np.sum(ll, axis=-1), -1.0 / n)
     total, recon_mean = nll_mean, 0.0
-    lam = 0.0 if cfg is None else cfg.lam
-    per_seed = np.ndim(lam) > 0
-    penalised = lam.any() if per_seed else lam != 0.0
+    lam = np.asarray(0.0 if cfg is None else cfg.lam)
+    penalised = lam.any()
     if penalised:
         mask = keep_mask(ks, cfg.drop_order, d).astype(np.float64)
         diff = np.subtract(m.inverse_pass(ws, np.multiply(z, mask), inverse_backs), x)
         recon_mean = np.multiply(np.sum(np.square(diff), axis=(-2, -1)), 1.0 / (n * d))
-        if per_seed:
-            recon_mean = np.where(lam != 0.0, recon_mean, 0.0)
+        recon_mean = np.where(lam != 0.0, recon_mean, 0.0)
         total = np.add(nll_mean, np.multiply(recon_mean, lam))
 
     def sweep(g):
@@ -156,7 +156,7 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
         inverse_gws = None
         if penalised:
             scale = g * lam * (1.0 / (n * d))
-            g_rec = np.multiply(scale[:, None, None] if per_seed else scale, 2.0 * diff)
+            g_rec = np.multiply(scale[..., None, None], 2.0 * diff)
             inverse_gws, g_masked = m.inverse_vjp(inverse_backs, g_rec)
             g_z = g_z + np.multiply(g_masked, mask)
         return m.forward_vjp(ws, forward_backs, g_z, np.full(n, g_rows),

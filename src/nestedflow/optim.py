@@ -1,19 +1,21 @@
 """Adam, cosine learning-rate annealing, and the minibatch training loop.
 
 Training is deterministic given (config, rng): per iteration the loop draws
-batch indices with replacement, then truncation indices (when the
-reconstruction penalty is active), evaluates the objective and its gradient
+batch indices with replacement, then truncation indices with
+:func:`~nestedflow.nested_dropout.sample_ks` (when the reconstruction
+penalty is active), evaluates the objective and its gradient
 (one call of the objective's VJP, the flow's explicit reverse sweep), and
 applies one bias-corrected Adam step.  The loss terms and learning rate of
 every iteration are recorded as a trace.
 
 :func:`train_seeds` is the one entry that knows about seed stacks: given
 two or more models it trains them as one stack in the same loop.  Each
-seed draws from its own generator, with its own nested-dropout weight λ,
+seed makes its solo run's draws with its solo run's calls, from its own
+generator and training split, and keeps its own nested-dropout weight λ;
 the stack takes one step on (S, B, D) batches, and Adam updates its (S, P)
 parameters and moments elementwise.  A stack whose step fails numerically
-gives way to one solo run per seed.
-A solo run, and :func:`train`, take the plain 2-D path.
+gives way to one solo run per seed.  A solo run, and :func:`train`, take
+the plain 2-D path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .autodiff import NonFiniteLossError, evaluate_with_gradient
 from .datasets import write_csv
 from .flows import FlowEvalError, FlowModel, stack_models
-from .nested_dropout import NestedDropoutConfig, loss_terms
+from .nested_dropout import NestedDropoutConfig, loss_terms, sample_ks
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -131,8 +133,9 @@ def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
     objective on minibatches sampled with replacement.
 
     The model is updated in place and also returned.  Per iteration the rng
-    is consumed in a fixed order (batch indices, then truncation indices),
-    so identical (config, rng state) give bit-identical trajectories.
+    is consumed in a fixed order (batch indices, then truncation indices
+    from :func:`~nestedflow.nested_dropout.sample_ks`), so identical
+    (config, rng state) give bit-identical trajectories.
     Raises :class:`TrainDivergenceError` when the run diverges.
     """
     (result,) = train_seeds([m], [train_points], cfg, [rng])
@@ -178,25 +181,14 @@ def _train_together(models, train_points, cfg: TrainConfig, lams: list, rngs) ->
     its parameters, or raises the first error of a stacked step."""
     stacked = len(models) > 1
     m = stack_models(models) if stacked else models[0]
-    # Each distinct training set once, so seeds sharing one gather from one
-    # copy of it; blocks[s] is seed s's (first, end) row in the table.
-    tables, spans, blocks, n = [], {}, [], 0
-    for points in train_points:
-        if id(points) not in spans:
-            tables.append(_train_table(points))
-            spans[id(points)] = n, n + len(tables[-1])
-            n += len(tables[-1])
-        blocks.append(spans[id(points)])
-    table = np.concatenate(tables) if len(tables) > 1 else tables[0]
+    tables = [_train_table(points) for points in train_points]
     penalised = [lam > 0.0 for lam in lams]
     step_cfg = _with_lam(cfg, np.array(lams) if stacked else lams[0])
     terms = np.empty((3, len(models), cfg.iterations))  # nll, recon, lr per seed
     state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
-        x, ks = _draws(table, blocks, cfg, penalised, rngs)
-        if not stacked:
-            x, ks = x[0], None if ks is None else ks[0]
+        x, ks = _draws(tables, cfg, penalised, rngs)
         try:
             state = _step(m, x, ks, step_cfg, state, t, terms)
         except ArithmeticError as e:
@@ -229,32 +221,24 @@ def _with_lam(cfg: TrainConfig, lam) -> TrainConfig:
     return replace(cfg, nd=replace(cfg.nd, lam=lam))
 
 
-def _draws(table, blocks: list, cfg: TrainConfig, penalised: list, rngs):
-    """One iteration's draws for every seed, each from its own generator in
-    its solo run's order: the batch row indices, then, when its λ > 0, the
-    truncation uniforms.  Seed s's training rows are the rows
-    ``range(*blocks[s])`` of ``table``.  Returns the (S, B, D) batch,
-    gathered at once, and the (S, B) truncation indices, K (every coordinate
-    kept) for a λ = 0 seed, or None when no seed has λ > 0."""
+def _draws(tables: list, cfg: TrainConfig, penalised: list, rngs):
+    """One iteration's draws for every seed, each from its own generator
+    with its solo run's calls: the batch rows of its own table, then, when
+    its λ > 0, :func:`~nestedflow.nested_dropout.sample_ks`.  Returns a solo
+    run's (B, D) batch and (B,) truncation indices, or a stack's (S, B, D)
+    and (S, B), with K (every coordinate kept) for a λ = 0 seed; the indices
+    are None when no seed has λ > 0."""
     b = cfg.batch_size
-    schedule = None if cfg.nd is None else cfg.nd.schedule
-    uniform = schedule is not None and schedule.p < 1.0
-    rows, us = [], []
-    for rng, block, keep in zip(rngs, blocks, penalised):
-        # Generator.integers(lo, hi) draws as integers(0, hi - lo) does,
-        # shifted by lo: the seed's solo draws, as rows of the whole table.
-        rows.append(rng.integers(*block, size=b))
-        if keep and uniform:
-            us.append(rng.random(b))
-    x = np.take(table, np.array(rows), axis=0)
-    if not any(penalised):
-        return x, None
-    ks = schedule.inverse_cdf(np.array(us)) if uniform else np.ones((sum(penalised), b), np.int64)
-    if all(penalised):
-        return x, ks
-    out = np.full((len(rngs), b), schedule.K)
-    out[penalised] = ks
-    return x, out
+    xs, ks = [], []
+    for table, rng, keep in zip(tables, rngs, penalised):
+        xs.append(np.take(table, rng.integers(0, len(table), size=b), axis=0))
+        if keep:
+            ks.append(sample_ks(cfg.nd.schedule, rng, b))
+        elif any(penalised):
+            ks.append(np.full(b, cfg.nd.schedule.K))
+    if len(xs) == 1:
+        return xs[0], ks[0] if ks else None
+    return np.stack(xs), np.stack(ks) if ks else None
 
 
 def _step(m, x, ks, cfg: TrainConfig, state: AdamState, t: int, terms):

@@ -508,6 +508,9 @@ def _drop(pos, key):
     ("qr", _drop(0, "n_householder"), "'n_householder'"),
     ("qr", lambda doc: doc["transforms"][0].__setitem__("n_householder", 1e400),
      "transform 0"),
+    # checked before a list of one parameter block per vector is built
+    ("qr", lambda doc: doc["transforms"][0].__setitem__("n_householder", 1000000),
+     "n_householder 1000000 exceeds the dimension 3"),
     ("coupling", _drop(0, "identity_idx"), "'identity_idx'"),
     ("coupling", _drop(1, "transformed_idx"), "'transformed_idx'"),
     ("coupling", lambda doc: doc["multiscale"].pop("depth_rank"), "'depth_rank'"),
@@ -528,8 +531,8 @@ def _drop(pos, key):
      "n_levels 5 x couplings_per_level 7"),
 ], ids=["transform-not-object", "transforms-not-list", "dimension-overflow",
         "dimension-not-number", "no-dimension", "no-dim", "no-permutation",
-        "no-n_householder", "n_householder-overflow", "no-identity_idx",
-        "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
+        "no-n_householder", "n_householder-overflow", "n_householder-above-dim",
+        "no-identity_idx", "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
         "block-not-numbers", "lu-permutation-2d", "extra-transform-field",
         "extra-multiscale-field", "depth_rank-not-derived", "levels-not-the-couplings"])
 def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names):
@@ -640,6 +643,28 @@ def test_config_integer_outside_int64_exits_one(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert err == f"error: {where}: integer out of range [-2**63, 2**63 - 1]\n"
     assert not out.exists()
+
+
+def test_more_householder_vectors_than_the_dimension_exits_one(tmp_path, capsys):
+    """D reflections reach every orthogonal D×D matrix, so ``n_householder``
+    above the dimension is a config error: one line, exit 1."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, model={"kind": "qr-linear", "n_householder": 4})
+    assert main(["train", "--config", str(cfg_path),
+                 "--output", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: n_householder 4 exceeds the dimension 3\n"
+
+
+def test_an_allocation_the_machine_cannot_make_exits_one(tmp_path, capsys):
+    """``train.iterations: 10**17`` asks for a 2.08 EiB loss trace, beyond a
+    64-bit address space, so the allocation fails at once: one line, exit 1."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, train={"iterations": 10**17, "batch_size": 8,
+                                  "lr_initial": 0.01})
+    assert main(["train", "--config", str(cfg_path),
+                 "--output", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
 
 
 def test_missing_dataset_file_exits_one(tmp_path, capsys):
@@ -948,8 +973,12 @@ def test_sweep_rejects_grid_keys_it_sets_itself(tmp_path, capsys, key, values, h
      {"model.levels": [2, 3]},
      "sweep child {'model.levels': 3} seed 0: "
      "level 2 has 1 active variables; dimension 4 cannot support 3 levels"),
+    ({}, {"model.n_householder": [3, 4]},
+     "sweep child {'model.n_householder': 4} seed 0: "
+     "n_householder 4 exceeds the dimension 3"),
 ], ids=["nd-without-p", "float-batch-size", "toy-dim-not-a-multiple-of-4",
-        "depth-order-on-a-linear-model", "wrong-length-order", "too-deep-levels"])
+        "depth-order-on-a-linear-model", "wrong-length-order", "too-deep-levels",
+        "householders-above-the-dimension"])
 def test_sweep_rejects_an_invalid_child_before_any_runs(tmp_path, capsys, base_edit,
                                                         grid, message):
     """Every child's config is validated, and a child with an inline dataset

@@ -264,7 +264,7 @@ def linear_problems(draw):
     lam = draw(st.sampled_from([0.0, 20.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "qr":
-        m = build_qr_flow(dim, rng, draw(st.integers(1, 2 * dim)), offset=offset)
+        m = build_qr_flow(dim, rng, draw(st.integers(1, dim)), offset=offset)
     else:
         m = build_lu_flow(dim, rng, offset=offset)
     m.set_params(m.params.values + 0.3 * rng.standard_normal(m.n_params))
@@ -352,7 +352,7 @@ def linear_stacks(draw):
         if kind == "offset":
             transforms.append(OffsetTransform(dim))
         elif kind == "qr":
-            transforms.append(QRLinearTransform(dim, draw(st.integers(1, 2 * dim))))
+            transforms.append(QRLinearTransform(dim, draw(st.integers(1, dim))))
         else:
             transforms.append(LULinearTransform(dim, rng.permutation(dim)))
     params = np.concatenate([t.init_params(rng) for t in transforms])
@@ -395,7 +395,7 @@ def linear_seed_stacks(draw):
     n_seeds = draw(st.integers(1, 4))
     dim = draw(st.integers(1, 5))
     kinds = draw(st.lists(st.sampled_from(["offset", "qr", "lu"]), min_size=1, max_size=4))
-    householders = [draw(st.integers(1, 2 * dim)) for _ in kinds]
+    householders = [draw(st.integers(1, dim)) for _ in kinds]
     batch = draw(st.integers(1, 5))
     lam = draw(st.sampled_from([0.0, 0.5, 20.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

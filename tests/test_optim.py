@@ -271,21 +271,25 @@ def test_train_seeds_matches_solo_train_bytewise(kind):
         assert_left_as_solo_train_leaves_them(models, rngs, data, [cfg] * 3, fresh)
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind):
+@pytest.mark.parametrize("kind, p", [
+    *(pytest.param(kind, 0.33, id=kind) for kind in sorted(BUILDERS)),
+    *(pytest.param(kind, 1.0, id=f"{kind}-p1") for kind in sorted(BUILDERS))])
+def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind, p):
     """A stack whose seeds have different nested-dropout weights, two of
     them 0, and whose training sets differ in size, trains each seed as
     ``train`` does with its own weight: the same parameters and every trace
     column byte for byte, a reconstruction term of 0.0 at weight 0, or the
     same error, with the caller's model and generator left as that run
     leaves them.  Seed 1's data holds a row whose square overflows, so the
-    mixed stack fails and every seed trains again alone."""
+    mixed stack fails and every seed trains again alone.  At p = 1 the
+    truncation sampler draws nothing, so only batch rows move the
+    generators."""
     dim, build = BUILDERS[kind]
     lams = [0.0, 20.0, 0.5, 0.0]
     data = [np.random.default_rng(60 + s).standard_normal((40 + 8 * s, dim))
             for s in range(4)]
-    data[1][0] = 1e200  # first drawn at iteration 1
-    schedule = GeometricSchedule(p=0.33, K=dim)
+    data[1][0] = 1e200  # first drawn at iteration 1, or 3 at p = 1
+    schedule = GeometricSchedule(p=p, K=dim)
 
     def cfg(lam):
         return TrainConfig(12, 8, 1e-2, "cosine-to-zero",
