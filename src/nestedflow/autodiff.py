@@ -53,12 +53,11 @@ class ParameterVector:
     models with one row each."""
 
     values: np.ndarray
-    stacked: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1 + self.stacked:
+        if v.ndim not in (1, 2):
             raise ValueError("parameter vector must be 1-D, or 2-D for a seed stack")
         if not np.isfinite(v).all():
             raise ValueError("parameter vector contains non-finite entries")

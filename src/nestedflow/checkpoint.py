@@ -94,6 +94,11 @@ def model_from_dict(doc: dict) -> FlowModel:
             unknown = [k for k in entry if k not in ("type", *names, "params")]
             if unknown:
                 raise CheckpointError(f"transform {pos} ({kind}) has unknown field {unknown[0]!r}")
+            for f in dataclasses.fields(cls):  # every field but a float holds integers
+                values = np.asarray(entry[f.name])
+                if f.type != "float" and values.size and values.dtype.kind not in "iu":
+                    raise CheckpointError(f"transform {pos} ({kind}) field {f.name!r} must "
+                                          "hold JSON integers")
             t = cls(**{name: entry[name] for name in names})
             blocks = entry.get("params", {})
             for name, size in t.param_blocks:

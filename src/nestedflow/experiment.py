@@ -14,11 +14,12 @@ every deterministic output byte for byte.
 
 ``train`` and every ``sweep`` job take one path: set each run up, train
 them together with :func:`~nestedflow.optim.train_seeds` (which decides
-whether they share a seed stack), then evaluate and write each run.  A job
-makes and writes each distinct (dataset spec, data seed) once; its other
-runs share that dataset and copy its files.  Only ``config``, ``datasets``
-and the standard library load with this module; each function imports the
-flow, training, evaluation and PCA modules it runs.
+whether they share a seed stack), each under its own training config,
+then evaluate and write each run.  A job makes and writes each distinct
+(dataset spec, data seed) once; its other runs share that dataset and copy
+its files.  Only ``config``, ``datasets`` and the standard library load
+with this module; each function imports the flow, training, evaluation and
+PCA modules it runs.
 """
 
 from __future__ import annotations
@@ -132,23 +133,18 @@ def train_order(cfg: dict):
 
 
 def make_train_config(cfg: dict, model: FlowModel) -> tuple[TrainConfig, dict]:
-    """TrainConfig plus the run's drop-order table (:func:`order_table`):
-    the training order first, then ``eval.orders``."""
+    """TrainConfig (the ``train`` section field for field, and ``nd``) plus
+    the run's drop-order table (:func:`order_table`): the training order
+    first, then ``eval.orders``."""
     from . import nested_dropout, optim
-    t = cfg["train"]
-    nd_spec = cfg.get("nd")
     orders = order_table([train_order(cfg), *cfg.get("eval", {}).get("orders", [])],
                          model, derive_seeds(cfg["seed"])["eval"])
-    nd = None
-    if nd_spec is not None:
+    nd = cfg.get("nd")
+    if nd is not None:
         nd = nested_dropout.NestedDropoutConfig(
-            lam=nd_spec["lambda"],
-            schedule=nested_dropout.GeometricSchedule(p=nd_spec["p"], K=model.dim),
-            drop_order=next(iter(orders.values())),
-        )
-    return optim.TrainConfig(iterations=t["iterations"], batch_size=t["batch_size"],
-                             lr_initial=t["lr_initial"],
-                             lr_schedule=t["lr_schedule"], nd=nd), orders
+            nd["lambda"], nested_dropout.GeometricSchedule(nd["p"], model.dim),
+            next(iter(orders.values())))
+    return optim.TrainConfig(**cfg["train"], nd=nd), orders
 
 
 def build_run(cfg: dict, seeds: dict, dim: int) -> tuple[FlowModel, TrainConfig, dict]:
@@ -281,10 +277,10 @@ def _finish_train(run: _TrainRun, result, threads: int):
 
 
 def _train_runs(cfgs, out_dirs, threads: int) -> list:
-    """Training runs whose configs differ only in seed and ``nd.lambda``,
-    trained together by :func:`~nestedflow.optim.train_seeds` and each
-    evaluated on ``threads`` threads; returns each run's (RunReport, run
-    directory), or the exception that ends it."""
+    """Training runs with equal ``dataset``, ``model`` and ``train``
+    sections, trained together by :func:`~nestedflow.optim.train_seeds` and
+    each evaluated on ``threads`` threads; returns each run's (RunReport,
+    run directory), or the exception that ends it."""
     from .optim import train_seeds
     outcomes, runs, datasets = [None] * len(cfgs), {}, {}
     for i, (cfg, out_dir) in enumerate(zip(cfgs, out_dirs)):
@@ -295,12 +291,9 @@ def _train_runs(cfgs, out_dirs, threads: int) -> list:
     if not runs:
         return outcomes
     ready = list(runs.values())
-    train_cfg = ready[0].train_cfg
-    if train_cfg.nd is not None:
-        train_cfg = replace(train_cfg, nd=replace(
-            train_cfg.nd, lam=np.array([r.train_cfg.nd.lam for r in ready])))
     try:
-        results = train_seeds([r.model for r in ready], [r.data for r in ready], train_cfg,
+        results = train_seeds([r.model for r in ready], [r.data for r in ready],
+                              [r.train_cfg for r in ready],
                               [np.random.default_rng(r.seeds["train"]) for r in ready])
     except Exception as e:
         results = [e] * len(runs)
@@ -407,11 +400,11 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
     Every child's config is validated first, and one with an inline dataset
     is set up as ``train`` sets it up (:func:`build_run`), so an invalid
-    child fails the sweep before its directory exists.  Children whose
-    configs differ only in seed and ``nd.lambda`` form one pool job, trained
-    together (see :func:`_train_runs`).  Jobs are halved, largest first,
-    until there are at least as many jobs as pool workers.  Each worker
-    evaluates on its share of ``worker_count()`` threads."""
+    child fails the sweep before its directory exists.  Children of one
+    :func:`_job_key` form one pool job, trained together (see
+    :func:`_train_runs`).  Jobs are halved, largest first, until there are
+    at least as many jobs as pool workers.  Each worker evaluates on its
+    share of ``worker_count()`` threads."""
     validate_config(sweep_cfg, SWEEP_SCHEMA)
     base = sweep_cfg["base"]
     grid = sweep_cfg["grid"]
@@ -486,15 +479,10 @@ def run_sweep(sweep_cfg: dict, out_dir=None) -> Path:
 
 
 def _job_key(cfg: dict) -> str:
-    """Sweep children with equal keys differ only in seed and ``nd.lambda``
-    and form one job.  A random training drop order is drawn from the seed,
-    so such a child keeps its seed in its key and trains alone."""
-    key = {**cfg, "seed": None}
-    if "nd" in cfg:
-        key["nd"] = {**cfg["nd"], "lambda": None}
-        if cfg["nd"].get("order") == "random":
-            key["seed"] = cfg["seed"]
-    return json.dumps(key, sort_keys=True)
+    """Sweep children with equal keys share a training step and form one
+    job: equal ``dataset``, ``model`` and ``train`` sections.  The seed,
+    ``nd`` and ``eval`` are per run."""
+    return json.dumps([cfg["dataset"], cfg["model"], cfg["train"]], sort_keys=True)
 
 
 def one_line_warnings():
@@ -504,8 +492,8 @@ def one_line_warnings():
 
 
 def _run_sweep_job(payloads, threads: int):
-    """One pool job, children that differ only in seed and ``nd.lambda``,
-    evaluated on ``threads`` threads: each child's ``aggregate.csv`` cells.
+    """One pool job, children with one :func:`_job_key`, evaluated on
+    ``threads`` threads: each child's ``aggregate.csv`` cells.
     Numpy's floating-point warnings are off, since the non-finite checks
     report each failure."""
     with np.errstate(all="ignore"):

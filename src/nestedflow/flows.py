@@ -346,27 +346,27 @@ class FlowModel:
     """An ordered composition of invertible transforms over a standard-normal
     base distribution in ``D`` dimensions.  Owns the flat trainable
     parameter vector; transforms hold structure only.  ``spans[i]`` is the
-    half-open range of transform i's blocks in it.  A seed stack (see
-    :func:`stack_models`) has one row of parameters per seed."""
+    half-open range of transform i's blocks in it.  A model whose
+    parameters are (S, P), one row per seed, is a seed stack (see
+    :func:`stack_models`)."""
 
-    def __init__(self, dim: int, transforms, params: np.ndarray, *, _stacked=False):
+    def __init__(self, dim: int, transforms, params: np.ndarray):
         self.dim = dim
         self.transforms = list(transforms)
         self.spans = []
+        params = np.asarray(params, dtype=np.float64)
         offset = 0
         for i, t in enumerate(self.transforms):
             if t.dim != dim:
                 raise ValueError("all transforms must share the model dimension")
             seed_axis = any(np.ndim(getattr(t, f)) > 1 for f in getattr(t, "seed_fields", ()))
-            if seed_axis and not _stacked:  # a seed field holds one row per seed
+            if seed_axis and params.ndim != 2:  # a seed field holds one row per seed
                 raise ValueError(f"transform {i} ({t.kind}) has a seed axis outside a seed stack")
             size = sum(size for _, size in t.param_blocks)
             self.spans.append((offset, offset + size))
             offset += size
-        params = np.asarray(params, dtype=np.float64)
         if params.shape[-1:] != (offset,):
             raise ValueError(f"expected {offset} parameters, got {params.size}")
-        self._stacked = _stacked
         self.set_params(params)
 
     @property
@@ -375,7 +375,7 @@ class FlowModel:
         return len(self.params)
 
     def set_params(self, values: np.ndarray):
-        self.params = ParameterVector(values, stacked=self._stacked)
+        self.params = ParameterVector(values)
 
     def weights(self, theta=None) -> list:
         """Each transform's weights on its span of the plain parameter array
@@ -472,8 +472,7 @@ def stack_models(models) -> FlowModel:
             raise ValueError("a seed stack needs models of one architecture")
         transforms.append(type(ts[0])(
             **{**fields[0], **{k: [f[k] for f in fields] for k in seed}}) if seed else ts[0])
-    return FlowModel(models[0].dim, transforms,
-                     np.stack([m.params.values for m in models]), _stacked=True)
+    return FlowModel(models[0].dim, transforms, np.stack([m.params.values for m in models]))
 
 
 def build_lu_flow(dim: int, rng: np.random.Generator, offset: bool = False) -> FlowModel:

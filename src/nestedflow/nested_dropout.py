@@ -46,17 +46,18 @@ class GeometricSchedule:
         return out
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """The truncation index of each uniform draw in ``u``, of any shape;
-        needs p < 1.  Elementwise, so one call over many seeds' draws gives
-        each the index of a call over its own."""
-        k = np.floor(np.log1p(-u) / math.log1p(-self.p)).astype(np.int64) + 1
-        return np.minimum(k, self.K)
+        """The truncation index of each uniform draw in ``u``; needs p < 1.
+        The geometric index is clamped to K while still a float, so the
+        tail mass goes to K however far a tiny p sends it."""
+        with np.errstate(over="ignore"):  # a subnormal p: the ratio is inf, so K
+            k = np.floor(np.log1p(-u) / math.log1p(-self.p))
+        return np.minimum(k, self.K - 1).astype(np.int64) + 1
 
 
 def sample_ks(s: GeometricSchedule, rng: np.random.Generator, n: int) -> np.ndarray:
     """n truncation indices via inverse-CDF sampling; p = 1 draws nothing.
     The one truncation sampler: training calls it once per iteration for
-    each seed with λ > 0, solo or in a stack."""
+    each seed with λ > 0, solo or in a stack, with that seed's schedule."""
     if s.p == 1.0:
         return np.ones(n, dtype=np.int64)
     return s.inverse_cdf(rng.random(n))
@@ -80,7 +81,8 @@ def as_order(order, K: int) -> np.ndarray:
 @dataclass(frozen=True)
 class NestedDropoutConfig:
     """Reconstruction-penalty settings: weight, index distribution, order.
-    For a seed stack ``lam`` may be an (S,) array, one weight per seed."""
+    A seed stack's step config (see :mod:`nestedflow.optim`) holds an (S,)
+    array of weights and an (S, K) array of orders, one row per seed."""
 
     lam: float | np.ndarray
     schedule: GeometricSchedule
@@ -92,20 +94,22 @@ class NestedDropoutConfig:
             raise ValueError("lambda must be nonnegative")
         if lam.ndim:
             object.__setattr__(self, "lam", lam)
-        order = identity_order(self.schedule.K) if self.drop_order is None \
-            else as_order(self.drop_order, self.schedule.K)
+        K = self.schedule.K
+        order = identity_order(K) if self.drop_order is None else np.asarray(self.drop_order)
+        order = np.stack([as_order(row, K) for row in order]) if order.ndim == 2 \
+            else as_order(order, K)
         object.__setattr__(self, "drop_order", order)
 
 
 def keep_mask(ks, order, K: int) -> np.ndarray:
     """Boolean (N, K) mask, True where the latent coordinate's ordering rank
-    is below the row's truncation index; (S, N, K) for (S, N) indices."""
+    is below the row's truncation index; (S, N, K) for (S, N) indices, with
+    one order for all seeds or an (S, K) array, one per seed."""
     ks = np.atleast_1d(np.asarray(ks, dtype=np.int64))
     if ((ks < 1) | (ks > K)).any():
         raise ValueError(f"truncation index out of range [1, {K}]")
-    rank = np.empty(K, dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(K)
-    return rank[None, :] < ks[..., None]
+    rank = np.argsort(order, axis=-1)  # exact: the inverse permutation
+    return rank[..., None, :] < ks[..., None]
 
 
 def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
@@ -119,12 +123,13 @@ def loss_terms(m: FlowModel, x: np.ndarray, ks, cfg: NestedDropoutConfig | None,
     the mean NLL.
 
     For a seed stack ``m``, ``x`` is (S, N, D) and ``ks`` (S, N), ``lam``
-    is one weight or one per seed, and each returned term is an array with
-    one value per seed (``recon_mean`` stays 0.0 when the reconstruction
-    pass is skipped).  When only some seeds have ``lam`` > 0 the pass runs
-    for all: a ``lam`` 0 seed, given ``ks`` of K, adds its reconstruction
-    with weight 0 and its ``recon_mean`` reads 0.0.  Each seed's values and
-    gradient row are bit for bit those of its solo model.
+    and the drop order are one for all seeds or one per seed, and each
+    returned term is an array with one value per seed (``recon_mean``
+    stays 0.0 when the reconstruction pass is skipped).  When only some
+    seeds have ``lam`` > 0 the pass runs for all: a ``lam`` 0 seed, given
+    ``ks`` of K, adds its reconstruction with weight 0 and its
+    ``recon_mean`` reads 0.0.  Each seed's values and gradient row are bit
+    for bit those of its solo model.
 
     Everything runs in numpy, at ``theta`` (a plain array, an
     :class:`~nestedflow.autodiff.Var` or None for the model's parameters).

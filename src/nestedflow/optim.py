@@ -9,13 +9,14 @@ applies one bias-corrected Adam step.  The loss terms and learning rate of
 every iteration are recorded as a trace.
 
 :func:`train_seeds` is the one entry that knows about seed stacks: given
-two or more models it trains them as one stack in the same loop.  Each
-seed makes its solo run's draws with its solo run's calls, from its own
-generator and training split, and keeps its own nested-dropout weight λ;
-the stack takes one step on (S, B, D) batches, and Adam updates its (S, P)
-parameters and moments elementwise.  A stack whose step fails numerically
-gives way to one solo run per seed.  A solo run, and :func:`train`, take
-the plain 2-D path.
+two or more models, one config each, it trains them as one stack in the
+same loop.  Each seed makes its solo run's draws with its solo run's
+calls, from its own generator, training split and schedule; the stack
+takes one step on (S, B, D) batches under one config holding each seed's
+λ and drop order in its row, and Adam updates its (S, P) parameters and
+moments elementwise.  A stack whose step fails numerically gives way to
+one solo run per seed.  A solo run, and :func:`train`, take the plain 2-D
+path.
 """
 
 from __future__ import annotations
@@ -138,59 +139,55 @@ def train(m: FlowModel, train_points, cfg: TrainConfig, rng) -> TrainResult:
     (config, rng state) give bit-identical trajectories.
     Raises :class:`TrainDivergenceError` when the run diverges.
     """
-    (result,) = train_seeds([m], [train_points], cfg, [rng])
+    (result,) = train_seeds([m], [train_points], [cfg], [rng])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def train_seeds(models, train_points, cfg: TrainConfig, rngs) -> list:
-    """Train each model as :func:`train` does, on its own training set and
-    generator; returns, per model, its :class:`TrainResult` or the error
-    its solo run raises.  ``cfg.nd.lam`` is one weight for every model or
-    one per model.
+def train_seeds(models, train_points, cfgs, rngs) -> list:
+    """Train each model as :func:`train` does, with its own training set,
+    config and generator; returns, per model, its :class:`TrainResult` or
+    the error its solo run raises.
 
     One model trains solo.  Two or more train as one seed stack
-    (:func:`~nestedflow.flows.stack_models`): each consumes its generator as
-    its solo run does, and one step moves every seed.  A stack in which some
-    seeds have λ > 0 runs the reconstruction pass for all (see
-    :func:`~nestedflow.nested_dropout.loss_terms`).  A stack is all or
-    nothing: when a stacked step raises an ``ArithmeticError``, every
-    generator is reset to its state at entry and every model, untouched
-    until a stack succeeds, trains alone, so each result or error is its
-    solo run's.  Such a stack costs its steps up to the failure plus one
-    solo run per seed.  Each result's ``seconds`` time the loop that made
-    it: the whole stack, or its solo run.
+    (:func:`~nestedflow.flows.stack_models`) under :func:`_stack_config`:
+    each consumes its generator as its solo run does, and one step moves
+    every seed.  A stack is all or nothing: when a stacked step raises an
+    ``ArithmeticError``, every generator is reset to its state at entry and
+    every model, untouched until a stack succeeds, trains alone, so each
+    result or error is its solo run's.  Such a stack costs its steps up to
+    the failure plus one solo run per seed.  Each result's ``seconds`` time
+    the loop that made it: the whole stack, or its solo run.
     """
-    lams = np.broadcast_to(0.0 if cfg.nd is None else cfg.nd.lam, len(models)).tolist()
     if len(models) > 1:
         entry = [rng.bit_generator.state for rng in rngs]
         try:
-            return _train_together(models, train_points, cfg, lams, rngs)
+            return _train_together(models, train_points, cfgs, rngs)
         except ArithmeticError:
             for rng, state in zip(rngs, entry):
                 rng.bit_generator.state = state
-    return [_train_together([m], [points], cfg, [lam], [rng])[0]
-            for m, points, lam, rng in zip(models, train_points, lams, rngs)]
+    return [_train_together([m], [points], [cfg], [rng])[0]
+            for m, points, cfg, rng in zip(models, train_points, cfgs, rngs)]
 
 
-def _train_together(models, train_points, cfg: TrainConfig, lams: list, rngs) -> list:
-    """Train ``models``, each with its λ in ``lams``, as one model: itself
-    when there is one, else their seed stack.  A solo run returns its
-    result or its error; a stack returns each model's result, having set
-    its parameters, or raises the first error of a stacked step."""
+def _train_together(models, train_points, cfgs, rngs) -> list:
+    """Train ``models``, each under its config in ``cfgs``, as one model:
+    itself when there is one, else their seed stack.  A solo run returns
+    its result or its error; a stack returns each model's result, having
+    set its parameters, or raises the first error of a stacked step."""
     stacked = len(models) > 1
     m = stack_models(models) if stacked else models[0]
+    cfg = _stack_config(cfgs) if stacked else cfgs[0]
     tables = [_train_table(points) for points in train_points]
-    penalised = [lam > 0.0 for lam in lams]
-    step_cfg = _with_lam(cfg, np.array(lams) if stacked else lams[0])
+    penalised = [c.nd is not None and c.nd.lam > 0.0 for c in cfgs]
     terms = np.empty((3, len(models), cfg.iterations))  # nll, recon, lr per seed
     state = init_adam(m.params.values.shape)
     started = time.perf_counter()
     for t in range(cfg.iterations):
-        x, ks = _draws(tables, cfg, penalised, rngs)
+        x, ks = _draws(tables, cfgs, penalised, rngs)
         try:
-            state = _step(m, x, ks, step_cfg, state, t, terms)
+            state = _step(m, x, ks, cfg, state, t, terms)
         except ArithmeticError as e:
             if stacked:
                 raise
@@ -205,6 +202,19 @@ def _train_together(models, train_points, cfg: TrainConfig, lams: list, rngs) ->
             for s, model in enumerate(models)]
 
 
+def _stack_config(cfgs) -> TrainConfig:
+    """A seed stack's step config: the runs' shared iterations, batch size
+    and learning rate, and each run's λ and drop order in its row of ``nd``
+    (whose schedule goes unused: each seed samples with its own)."""
+    shared, nds = replace(cfgs[0], nd=None), [c.nd for c in cfgs]
+    if any(replace(c, nd=None) != shared for c in cfgs) or len({nd is None for nd in nds}) > 1:
+        raise ValueError("a seed stack's runs share iterations, batch size and learning "
+                         "rate, and have nested dropout all or none")
+    return shared if nds[0] is None else replace(shared, nd=NestedDropoutConfig(
+        np.array([nd.lam for nd in nds]), nds[0].schedule,
+        np.stack([nd.drop_order for nd in nds])))
+
+
 def _train_table(points) -> np.ndarray:
     if hasattr(points, "get_split"):
         points = points.get_split("train")
@@ -214,23 +224,16 @@ def _train_table(points) -> np.ndarray:
     return x_all
 
 
-def _with_lam(cfg: TrainConfig, lam) -> TrainConfig:
-    """``cfg`` with nested-dropout weight ``lam``: one, or a stack's (S,)."""
-    if cfg.nd is None:
-        return cfg
-    return replace(cfg, nd=replace(cfg.nd, lam=lam))
-
-
-def _draws(tables: list, cfg: TrainConfig, penalised: list, rngs):
+def _draws(tables: list, cfgs, penalised: list, rngs):
     """One iteration's draws for every seed, each from its own generator
     with its solo run's calls: the batch rows of its own table, then, when
-    its λ > 0, :func:`~nestedflow.nested_dropout.sample_ks`.  Returns a solo
-    run's (B, D) batch and (B,) truncation indices, or a stack's (S, B, D)
-    and (S, B), with K (every coordinate kept) for a λ = 0 seed; the indices
-    are None when no seed has λ > 0."""
-    b = cfg.batch_size
+    its λ > 0, :func:`~nestedflow.nested_dropout.sample_ks` with its own
+    schedule.  Returns a solo run's (B, D) batch and (B,) truncation
+    indices, or a stack's (S, B, D) and (S, B), with K (every coordinate
+    kept) for a λ = 0 seed; the indices are None when no seed has λ > 0."""
+    b = cfgs[0].batch_size
     xs, ks = [], []
-    for table, rng, keep in zip(tables, rngs, penalised):
+    for table, cfg, rng, keep in zip(tables, cfgs, rngs, penalised):
         xs.append(np.take(table, rng.integers(0, len(table), size=b), axis=0))
         if keep:
             ks.append(sample_ks(cfg.nd.schedule, rng, b))

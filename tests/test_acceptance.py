@@ -92,7 +92,7 @@ def train_linear(kind, seeds, data, nd=None):
     build = build_qr_flow if kind == "qr" else build_lu_flow
     rngs = [run_rngs(seed) for seed in seeds]
     results = train_seeds([build(3, init_rng) for init_rng, _ in rngs], [data] * len(rngs),
-                          TrainConfig(nd=nd, **LINEAR_TRAIN),
+                          [TrainConfig(nd=nd, **LINEAR_TRAIN)] * len(rngs),
                           [train_rng for _, train_rng in rngs])
     x_test = data.get_split("test")
     runs = {}

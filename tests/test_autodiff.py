@@ -293,7 +293,7 @@ def test_nonfinite_parameters_rejected():
     with pytest.raises(ValueError):
         ParameterVector(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        ParameterVector(np.ones((2, 2)))
+        ParameterVector(np.ones((2, 2, 2)))  # 2-D is a seed stack; 3-D is nothing
 
 
 def test_concurrent_evaluations_record_separate_tapes():

@@ -529,12 +529,22 @@ def _drop(pos, key):
      "multiscale field 'depth_rank'"),
     ("coupling8", lambda doc: doc["multiscale"].update(n_levels=5, couplings_per_level=7),
      "n_levels 5 x couplings_per_level 7"),
+    # integer fields hold JSON integers: not integral floats, not truncated fractions
+    ("qr", lambda doc: doc["transforms"][0].__setitem__("dim", 3.0),
+     "transform 0 (qr_linear) field 'dim' must hold JSON integers"),
+    ("coupling", lambda doc: doc["transforms"][0].__setitem__("hidden_width", 4.0),
+     "transform 0 (affine_coupling) field 'hidden_width' must hold JSON integers"),
+    ("coupling", lambda doc: doc["transforms"][0].__setitem__("identity_idx", [0.5, 1.5]),
+     "transform 0 (affine_coupling) field 'identity_idx' must hold JSON integers"),
+    ("lu", lambda doc: doc["transforms"][1].__setitem__("permutation", [0.5, 1.5, 2.5]),
+     "transform 1 (lu_linear) field 'permutation' must hold JSON integers"),
 ], ids=["transform-not-object", "transforms-not-list", "dimension-overflow",
         "dimension-not-number", "no-dimension", "no-dim", "no-permutation",
         "no-n_householder", "n_householder-overflow", "n_householder-above-dim",
         "no-identity_idx", "no-transformed_idx", "no-depth_rank", "multiscale-not-object",
         "block-not-numbers", "lu-permutation-2d", "extra-transform-field",
-        "extra-multiscale-field", "depth_rank-not-derived", "levels-not-the-couplings"])
+        "extra-multiscale-field", "depth_rank-not-derived", "levels-not-the-couplings",
+        "dim-float", "hidden_width-float", "identity_idx-fractions", "permutation-fractions"])
 def test_eval_malformed_checkpoint_exits_one(tmp_path, capsys, kind, edit, names):
     doc = model_to_dict(CHECKPOINT_MODELS[kind](np.random.default_rng(0)))
     edit(doc)
@@ -653,6 +663,16 @@ def test_more_householder_vectors_than_the_dimension_exits_one(tmp_path, capsys)
     assert main(["train", "--config", str(cfg_path),
                  "--output", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: n_householder 4 exceeds the dimension 3\n"
+
+
+def test_a_tiny_truncation_p_trains(tmp_path, capsys):
+    """At ``nd.p`` 1e-300 every geometric index lies far beyond the
+    dimension, and all of that tail mass goes to k = K."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, nd={"lambda": 1.0, "p": 1e-300})
+    assert main(["train", "--config", str(cfg_path),
+                 "--output", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_an_allocation_the_machine_cannot_make_exits_one(tmp_path, capsys):

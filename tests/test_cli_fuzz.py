@@ -6,9 +6,10 @@ damage, the exit code is 0, 1 or 2, and a failure prints exactly one line
 on stderr, with no traceback, and an input error from a damaged CSV or
 sidecar names that file.  Damage is random bytes, a truncated or
 byte-flipped valid document, deep nesting, one JSON value replaced by a
-number too large, non-finite, integral-but-float, or of the wrong type, or
-one JSON list replaced by two copies of itself, the shape a seed stack
-gives a per-seed field such as an LU permutation.
+number too large, non-finite, integral-but-float, or of the wrong type, one
+JSON integer written as the float of its value, or one JSON list replaced by
+two copies of itself, the shape a seed stack gives a per-seed field such as
+an LU permutation.
 Numbers stay out of the range where a valid size would make a run long.
 Sweep examples grid over a key that is a dotted path through a base config
 plus one more segment, which may pass through a number, a string or a list.
@@ -96,7 +97,8 @@ def value_at(doc, path):
 @st.composite
 def damaged(draw, raw: bytes) -> bytes:
     """``raw`` after one kind of damage."""
-    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "nest", "value", "stack"]))
+    kind = draw(st.sampled_from(["bytes", "truncate", "flip", "nest", "value", "stack",
+                                 "float"]))
     if kind == "bytes":
         return draw(st.binary(max_size=64))
     if kind == "truncate":
@@ -123,6 +125,11 @@ def damaged(draw, raw: bytes) -> bytes:
         if not path:
             return json.dumps(stacked).encode()
         value_at(doc, path[:-1])[path[-1]] = stacked
+        return json.dumps(doc).encode()
+    ints = [path for path in json_paths(doc) if type(value_at(doc, path)) is int]
+    if kind == "float" and ints:
+        path = draw(st.sampled_from(ints))
+        value_at(doc, path[:-1])[path[-1]] = float(value_at(doc, path))
         return json.dumps(doc).encode()
     path = draw(st.sampled_from(list(json_paths(doc))))
     if not path:

@@ -72,6 +72,21 @@ def test_sampler_tail_mass_on_k():
     assert np.mean(draws == 64) == pytest.approx((1 - 1e-3) ** 63, abs=0.01)
 
 
+@pytest.mark.parametrize("p", [1e-300, 5e-324])
+def test_a_tiny_p_puts_every_index_at_k(p):
+    """The geometric index of a tiny p lies far beyond K, past what int64
+    holds; it goes to K."""
+    assert sample_ks(GeometricSchedule(p, 3), np.random.default_rng(3), 1000).tolist() \
+        == [3] * 1000
+
+
+def test_indices_are_the_clamped_geometric_ones():
+    u = np.random.default_rng(4).random(10_000)
+    for p, K in ((0.33, 3), (0.2, 16), (1e-3, 64), (0.9, 2)):
+        k = np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64) + 1
+        assert GeometricSchedule(p, K).inverse_cdf(u).tobytes() == np.minimum(k, K).tobytes()
+
+
 def test_truncate_examples():
     z = np.array([1.0, 2.0, 3.0])
     assert_allclose(truncate(z, 1, identity_order(3)), [1.0, 0.0, 0.0])
@@ -170,6 +185,16 @@ def test_keep_mask_ranks():
     order = np.array([2, 0, 1])
     mask = keep_mask(np.array([1, 2]), order, 3)
     assert mask.tolist() == [[False, False, True], [True, False, True]]
+    # a seed stack's orders, one per row, each ranking its own seed's indices
+    orders = np.array([[2, 0, 1], [0, 1, 2]])
+    stacked = keep_mask(np.array([[1, 2], [1, 2]]), orders, 3)
+    assert stacked.tolist() == [mask.tolist(), keep_mask([1, 2], orders[1], 3).tolist()]
+    cfg = NestedDropoutConfig(lam=[1.0, 0.0], schedule=GeometricSchedule(0.5, 3),
+                              drop_order=orders)
+    assert cfg.drop_order.tolist() == orders.tolist()
+    with pytest.raises(ValueError, match="permutation"):
+        NestedDropoutConfig(lam=1.0, schedule=GeometricSchedule(0.5, 3),
+                            drop_order=[[2, 0, 1], [0, 0, 2]])
 
 
 def test_truncation_gradient_matches_finite_differences():

@@ -204,7 +204,7 @@ def test_zero_householder_vector_is_a_divergence():
 def test_zero_householder_vector_fails_its_seed_alone_in_a_stack():
     ok, failed = train_seeds([build_qr_flow(2, np.random.default_rng(14)),
                               zero_householder_flow()],
-                             [training_data()] * 2, TrainConfig(5, 16, 1e-2),
+                             [training_data()] * 2, [TrainConfig(5, 16, 1e-2)] * 2,
                              [np.random.default_rng(16), np.random.default_rng(16)])
     assert isinstance(failed, TrainDivergenceError)
     assert re.match(ZERO_HOUSEHOLDER, str(failed))
@@ -217,6 +217,15 @@ BUILDERS = {
     "lu": (3, lambda rng: build_lu_flow(3, rng)),
     "coupling": (8, lambda rng: build_multiscale_flow(8, 2, 2, rng, hidden_width=4)),
 }
+
+
+def assert_same_run(result, solo):
+    """Two training results hold the same parameters and trace, byte for
+    byte."""
+    assert result.model.params.values.tobytes() == solo.model.params.values.tobytes()
+    for column in ("iteration", "nll_term", "recon_term", "lr"):
+        assert getattr(result.trace, column).tobytes() == \
+            getattr(solo.trace, column).tobytes(), column
 
 
 def assert_left_as_solo_train_leaves_them(models, rngs, data, cfgs, fresh):
@@ -256,18 +265,14 @@ def test_train_seeds_matches_solo_train_bytewise(kind):
 
     with np.errstate(all="ignore"):
         models, rngs = zip(*(fresh(s) for s in range(3)))
-        stacked = train_seeds(models, data, cfg, rngs)
+        stacked = train_seeds(models, data, [cfg] * 3, rngs)
         assert type(stacked[1]) is TrainDivergenceError
         assert not str(stacked[1]).startswith("training diverged at iteration 0")
         with pytest.raises(TrainDivergenceError) as solo_error:
             solo_train(1)
         assert str(stacked[1]) == str(solo_error.value)
         for s in (0, 2):
-            result, solo = stacked[s], solo_train(s)
-            assert result.model.params.values.tobytes() == solo.model.params.values.tobytes()
-            for column in ("iteration", "nll_term", "recon_term", "lr"):
-                assert getattr(result.trace, column).tobytes() == \
-                    getattr(solo.trace, column).tobytes(), column
+            assert_same_run(stacked[s], solo_train(s))
         assert_left_as_solo_train_leaves_them(models, rngs, data, [cfg] * 3, fresh)
 
 
@@ -275,51 +280,66 @@ def test_train_seeds_matches_solo_train_bytewise(kind):
     *(pytest.param(kind, 0.33, id=kind) for kind in sorted(BUILDERS)),
     *(pytest.param(kind, 1.0, id=f"{kind}-p1") for kind in sorted(BUILDERS))])
 def test_train_seeds_with_per_seed_lambda_matches_solo_train_bytewise(kind, p):
-    """A stack whose seeds have different nested-dropout weights, two of
-    them 0, and whose training sets differ in size, trains each seed as
-    ``train`` does with its own weight: the same parameters and every trace
+    """A stack whose seeds each have their own config, with different
+    nested-dropout weights (two of them 0), truncation schedules and drop
+    orders, and whose training sets differ in size, trains each seed as
+    ``train`` does with its config: the same parameters and every trace
     column byte for byte, a reconstruction term of 0.0 at weight 0, or the
     same error, with the caller's model and generator left as that run
     leaves them.  Seed 1's data holds a row whose square overflows, so the
-    mixed stack fails and every seed trains again alone.  At p = 1 the
-    truncation sampler draws nothing, so only batch rows move the
-    generators."""
+    four-seed stack fails and every seed trains again alone; without seed 1
+    the other three finish as one stack.  Seed 1 samples truncation indices
+    at ``p`` and seed 2 at p / 2; at p = 1 seed 1's sampler draws nothing,
+    so only batch rows move its generator."""
     dim, build = BUILDERS[kind]
-    lams = [0.0, 20.0, 0.5, 0.0]
+    lams, ps = [0.0, 20.0, 0.5, 0.0], [0.9, p, p / 2, 0.1]
     data = [np.random.default_rng(60 + s).standard_normal((40 + 8 * s, dim))
             for s in range(4)]
     data[1][0] = 1e200  # first drawn at iteration 1, or 3 at p = 1
-    schedule = GeometricSchedule(p=p, K=dim)
-
-    def cfg(lam):
-        return TrainConfig(12, 8, 1e-2, "cosine-to-zero",
-                           NestedDropoutConfig(lam=lam, schedule=schedule))
+    cfgs = [TrainConfig(12, 8, 1e-2, "cosine-to-zero", NestedDropoutConfig(
+                lam=lam, schedule=GeometricSchedule(p=q, K=dim),
+                drop_order=np.random.default_rng(90 + s).permutation(dim)))
+            for s, (lam, q) in enumerate(zip(lams, ps))]
 
     def fresh(s):
         return build(np.random.default_rng(70 + s)), np.random.default_rng(80 + s)
 
     def solo_train(s):
         m, rng = fresh(s)
-        return train(m, data[s], cfg(lams[s]), rng)
+        return train(m, data[s], cfgs[s], rng)
 
     with np.errstate(all="ignore"):
         models, rngs = zip(*(fresh(s) for s in range(4)))
-        stacked = train_seeds(models, data, cfg(np.array(lams)), rngs)
+        stacked = train_seeds(models, data, cfgs, rngs)
         with pytest.raises(TrainDivergenceError) as solo_error:
             solo_train(1)
         assert type(stacked[1]) is TrainDivergenceError
         assert not str(stacked[1]).startswith("training diverged at iteration 0")
         assert str(stacked[1]) == str(solo_error.value)
         for s in (0, 2, 3):
-            result, solo = stacked[s], solo_train(s)
-            assert result.model.params.values.tobytes() == solo.model.params.values.tobytes()
-            for column in ("iteration", "nll_term", "recon_term", "lr"):
-                assert getattr(result.trace, column).tobytes() == \
-                    getattr(solo.trace, column).tobytes(), column
-        assert_left_as_solo_train_leaves_them(models, rngs, data, [cfg(lam) for lam in lams],
-                                              fresh)
+            assert_same_run(stacked[s], solo_train(s))
+        assert_left_as_solo_train_leaves_them(models, rngs, data, cfgs, fresh)
+        finite = (0, 2, 3)
+        models, rngs = zip(*(fresh(s) for s in finite))
+        together = train_seeds(models, [data[s] for s in finite], [cfgs[s] for s in finite],
+                               rngs)
+        assert len({r.seconds for r in together}) == 1  # one stack's wall time
+        for s, result in zip(finite, together):
+            assert_same_run(result, solo_train(s))
     assert not stacked[0].trace.recon_term.any() and not stacked[3].trace.recon_term.any()
     assert stacked[2].trace.recon_term.all()
+
+
+@pytest.mark.parametrize("second", [
+    TrainConfig(5, 16, 2e-2), TrainConfig(5, 8, 1e-2), TrainConfig(6, 16, 1e-2),
+    TrainConfig(5, 16, 1e-2, "cosine-to-zero"),
+    TrainConfig(5, 16, 1e-2, nd=NestedDropoutConfig(1.0, GeometricSchedule(0.5, 2)))],
+    ids=["lr", "batch", "iterations", "schedule", "nd-in-one"])
+def test_a_seed_stack_rejects_runs_that_cannot_share_a_step(second):
+    models = [build_qr_flow(2, np.random.default_rng(s)) for s in range(2)]
+    with pytest.raises(ValueError, match="a seed stack's runs share"):
+        train_seeds(models, [training_data()] * 2, [TrainConfig(5, 16, 1e-2), second],
+                    [np.random.default_rng(16), np.random.default_rng(17)])
 
 
 def test_a_non_numerical_error_in_a_stacked_step_is_not_retried_alone(monkeypatch):
@@ -336,7 +356,7 @@ def test_a_non_numerical_error_in_a_stacked_step_is_not_retried_alone(monkeypatc
     models = [build_qr_flow(2, np.random.default_rng(s)) for s in range(2)]
     before = [m.params.values.tobytes() for m in models]
     with pytest.raises(ValueError, match="not a numerical failure"):
-        train_seeds(models, [training_data()] * 2, TrainConfig(5, 16, 1e-2),
+        train_seeds(models, [training_data()] * 2, [TrainConfig(5, 16, 1e-2)] * 2,
                     [np.random.default_rng(16), np.random.default_rng(17)])
     assert calls == [3]  # one call, on the stack's (S, B, D) batch
     assert [m.params.values.tobytes() for m in models] == before

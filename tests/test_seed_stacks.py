@@ -1,6 +1,7 @@
-"""Seed stacks through ``run_sweep``: sweep children whose configs differ
-only in seed and ``nd.lambda`` train as one stack, and each child writes the
-bytes that a solo ``nestedflow train`` of its config writes."""
+"""Seed stacks through ``run_sweep``: sweep children with equal ``dataset``,
+``model`` and ``train`` sections train as one stack, each with its own seed,
+``nd`` and ``eval``, and each child writes the bytes that a solo
+``nestedflow train`` of its config writes."""
 
 import csv
 import json
@@ -50,6 +51,12 @@ def train_seconds(row) -> float:
         return json.load(f)["timing"]["train_seconds"]
 
 
+# The training drop orders each model's sweep grids over.
+LINEAR_ORDERS = ["identity", "reversed", "random"]
+ORDERS = {"qr": LINEAR_ORDERS, "qr-offset": LINEAR_ORDERS, "lu": LINEAR_ORDERS,
+          "coupling": ["depth-reversed", "identity"]}
+
+
 @pytest.mark.parametrize("n_seeds", [2, 3])
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_stacked_children_match_solo_train_bytewise(tmp_path, monkeypatch, model,
@@ -60,10 +67,10 @@ def test_stacked_children_match_solo_train_bytewise(tmp_path, monkeypatch, model
             "train": {"iterations": 25, "batch_size": 8, "lr_initial": 0.01},
             "nd": {"lambda": 0.0, "p": 0.33},
             "eval": {"orders": ["identity", "reversed"]}}
-    rows = sweep(tmp_path, "sweep", base, {"nd.lambda": [0.0, 0.5, 20.0]},
-                 list(range(n_seeds)))
-    assert [r["status"] for r in rows] == ["ok"] * (3 * n_seeds)
-    # One stack per sweep column: every child reports the stack's training time.
+    grid = {"nd.lambda": [0.0, 0.5, 20.0], "nd.order": ORDERS[model], "nd.p": [0.33, 0.8]}
+    rows = sweep(tmp_path, "sweep", base, grid, list(range(n_seeds)))
+    assert [r["status"] for r in rows] == ["ok"] * (6 * len(ORDERS[model]) * n_seeds)
+    # One job, one stack: every child reports the stack's training time.
     assert len({train_seconds(r) for r in rows}) == 1
     for row in rows:
         assert_matches_solo_train(tmp_path, row)
